@@ -16,7 +16,6 @@ Run:  python examples/quantization_workflow.py
 
 import numpy as np
 
-from repro.core import profile_counters
 from repro.core.cpu import Cpu
 from repro.kernels import ConvConfig, ConvKernel
 from repro.qnn import (
@@ -25,6 +24,7 @@ from repro.qnn import (
     quantize_uniform,
     thresholds_from_accumulators,
 )
+from repro.trace import MetricsTracer
 
 rng = np.random.default_rng(123)
 H = W = 8
@@ -52,7 +52,7 @@ thresholds = thresholds_from_accumulators(acc, BITS)
 geometry = ConvGeometry(H, W, CI, CO, 3, 3, 1, 1)
 kernel = ConvKernel(ConvConfig(geometry=geometry, bits=BITS, quant="hw"))
 cpu = Cpu(isa="xpulpnn")
-cpu.collect_mnemonics = True
+cpu.tracer = MetricsTracer(program=kernel.program)
 run = kernel.run(w_q, x_q, thresholds=thresholds, cpu=cpu)
 
 golden_levels = thresholds.quantize(acc, channel_axis=-1)
@@ -78,5 +78,7 @@ print(f"mean relative error vs float reference: {100 * rel_err:.1f}% "
       f"(4-bit staircase)")
 
 # -- profile where the cycles went -----------------------------------------
-print("\nexecution profile:")
-print(profile_counters(cpu, top=5).render())
+regions = cpu.tracer.registry
+assert regions.total().cycles == run.cycles, "regions must sum to the run"
+print()
+print(regions.render(title="execution profile (cycles per kernel region)"))

@@ -3,6 +3,9 @@
 The timing model of :mod:`repro.core.timing` is simple enough — per-class
 occupancy plus load-use / taken-branch / jump hazards — that cycle counts
 can be *derived* from the program text instead of measured, WCET-style.
+Every charge comes from the same per-instruction
+:class:`~repro.core.timing.InstrTiming` summary the simulator charges
+from, lifted to the abstract state below.
 This module walks a linked :class:`~repro.asm.program.Program` along its
 control flow, carrying three pieces of abstract state:
 
@@ -11,9 +14,10 @@ control flow, carrying three pieces of abstract state:
   path-sensitively), which resolves hardware-loop trip counts — in this
   repo's kernels they are either ``lp.setupi`` immediates or constants
   materialized with ``li`` — plus branch conditions and ``mhartid``;
-* the **pending load destination** of the previous instruction, which
-  decides load-use stalls exactly like
-  :meth:`~repro.core.timing.TimingModel.step` does;
+* the **pending load destination** of the previous instruction — the
+  set of values ``TimingModel.pending`` may hold, so a load-use stall is
+  the interval of :meth:`~repro.core.timing.InstrTiming.load_use` over
+  that set;
 * the **hardware-loop fold**: a loop body is walked twice (entry
   iteration with the incoming facts, steady-state iteration with the
   body-written registers havoced) and charged ``first + (n-1) * steady``,
@@ -40,7 +44,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..asm.program import Program
 from ..core.perf import PerfCounters
-from ..core.timing import TimingParams
+from ..core.timing import InstrTiming, TimingParams
 from ..errors import ReproError
 from ..isa.bits import to_signed, u32
 from ..isa.instruction import Instruction
@@ -395,11 +399,10 @@ def _eval_branch(ins: Instruction, consts: Dict[int, int]) -> Optional[bool]:
 # The abstract walker
 # ---------------------------------------------------------------------------
 
-#: Pending-load state: the set of registers that *may* hold an in-flight
-#: load result, and whether "no pending load" is also possible.  A definite
-#: single pending register is ``({rd}, False)``; merges widen both.
-_Pending = Tuple[FrozenSet[int], bool]
-_NO_PENDING: _Pending = (frozenset(), True)
+#: Pending-load state: every value ``TimingModel.pending`` may hold here
+#: (a register, or None for no load in flight).  Merges take the union.
+_Pending = FrozenSet[Optional[int]]
+_NO_PENDING: _Pending = frozenset({None})
 
 _HALT = object()     # walk exit sentinel: the path retired ebreak/ecall
 
@@ -425,12 +428,12 @@ class _Walker:
                  hart_id: Optional[int], max_steps: int) -> None:
         self.program = program
         self.cfg = cfg
-        self.params = params
         self.hart_id = hart_id
         self.max_steps = max_steps
         self.steps = 0
-        self.imem: Dict[int, Instruction] = {
-            ins.addr: ins for ins in program.instructions}
+        self.timing: Dict[int, InstrTiming] = {
+            ins.addr: InstrTiming(ins, params)
+            for ins in program.instructions}
         self.region_of = program.region_map()
         self.block_of: Dict[int, int] = {
             ins.addr: block.index
@@ -463,38 +466,36 @@ class _Walker:
         if message not in self.assumptions:
             self.assumptions.append(message)
 
-    def _load_use(self, pending: _Pending, ins: Instruction) -> Interval:
-        regs, maybe_none = pending
-        if not regs:
-            return ZERO
-        sources = set(ins.source_registers())
-        hits = regs & sources
-        if not hits:
-            return ZERO
-        definite = not maybe_none and hits == regs
-        lo = self.params.load_use_penalty if definite else 0
-        return Interval(lo, self.params.load_use_penalty)
+    @staticmethod
+    def _load_use(pending: _Pending, timing: InstrTiming) -> Interval:
+        """The hazard rule lifted to a set of possibly-pending registers."""
+        stalls = [timing.load_use(reg) for reg in pending]
+        return Interval(min(stalls), max(stalls))
 
-    def _next_pending(self, ins: Instruction) -> _Pending:
-        if ins.spec.timing == "load" and ins.rd != 0:
-            return (frozenset({ins.rd}), False)
-        return _NO_PENDING
-
-    def _charge(self, cost: CostVector, ins: Instruction, cycles: Interval,
-                load_use: Interval, branch: int = 0, jump: int = 0) -> None:
+    def _charge(self, cost: CostVector, timing: InstrTiming,
+                pending: _Pending) -> None:
+        """Charge one retired instruction: base cycles, its load-use
+        stall, and a jump's penalty (a taken branch's comes from
+        :meth:`_taken_branch`)."""
+        load_use = self._load_use(pending, timing)
+        cycles = Interval.exact(timing.base + timing.jump) + load_use
         cost.cycles += cycles
         cost.instructions += 1
-        cls = ins.spec.timing
-        cost.by_class[cls] = cost.by_class.get(cls, ZERO) + 1
-        region = self.region_of.get(ins.addr, "-")
+        cost.by_class[timing.cls] = cost.by_class.get(timing.cls, ZERO) + 1
+        region = self.region_of.get(timing.ins.addr, "-")
         cost.by_region[region] = cost.by_region.get(region, ZERO) + cycles
-        block = self.block_of[ins.addr]
+        block = self.block_of[timing.ins.addr]
         cost.by_block[block] = cost.by_block.get(block, ZERO) + cycles
         cost.stalls["stall_load_use"] += load_use
-        if branch:
-            cost.stalls["stall_branch"] += branch
-        if jump:
-            cost.stalls["stall_jump"] += jump
+        cost.stalls["stall_jump"] += timing.jump
+
+    def _taken_branch(self, timing: InstrTiming) -> CostVector:
+        penalty = Interval.exact(timing.branch)
+        pen = CostVector()
+        pen.cycles = pen.stalls["stall_branch"] = penalty
+        pen.by_region[self.region_of.get(timing.ins.addr, "-")] = penalty
+        pen.by_block[self.block_of[timing.ins.addr]] = penalty
+        return pen
 
     @staticmethod
     def _join_consts(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
@@ -503,10 +504,6 @@ class _Walker:
         joined = {r: v for r, v in a.items() if b.get(r) == v}
         joined[0] = 0
         return joined
-
-    @staticmethod
-    def _join_pending(a: _Pending, b: _Pending) -> _Pending:
-        return (a[0] | b[0], a[1] or b[1])
 
     def _transfer_consts(self, consts: Dict[int, int],
                          ins: Instruction) -> Dict[int, int]:
@@ -613,14 +610,13 @@ class _Walker:
              stops: FrozenSet[int], depth: int = 0) -> _PathEnd:
         if depth > 80:
             raise CostError("branch fork nesting exceeds the analyzer limit")
-        params = self.params
         cost = CostVector()
         terminals: List[CostVector] = []
         while True:
             if pc in stops:
                 return _PathEnd(cost, consts, pending, pc, terminals)
-            ins = self.imem.get(pc)
-            if ins is None:
+            timing = self.timing.get(pc)
+            if timing is None:
                 self.warn(f"no instruction at {pc:#010x}; path abandoned")
                 return _PathEnd(cost, consts, pending, _HALT, terminals)
             self.steps += 1
@@ -629,18 +625,15 @@ class _Walker:
                     f"analysis exceeded {self.max_steps} abstract steps "
                     f"(unfoldable loop?)")
 
-            cls = ins.spec.timing
-            base = params.class_cycles[cls]
-            load_use = self._load_use(pending, ins)
+            ins = timing.ins
+            self._charge(cost, timing, pending)
+            before, consts = consts, self._transfer_consts(consts, ins)
+            pending = frozenset({timing.pending})
             name = ins.mnemonic
             fall = pc + ins.size
 
             if name in HWLOOP_SETUP_MNEMONICS:
-                count, source = self._loop_count(ins, consts)
-                self._charge(cost, ins, Interval.exact(base) + load_use,
-                             load_use)
-                consts = self._transfer_consts(consts, ins)
-                pending = self._next_pending(ins)
+                count, source = self._loop_count(ins, before)
                 loop = self.loops_by_setup.get(ins.addr)
                 if loop is None or loop.end <= loop.start:
                     self.warn(f"malformed hardware loop at {ins.addr:#x}")
@@ -660,44 +653,26 @@ class _Walker:
                 pc = folded.exit
                 continue
 
-            if cls == "branch":
-                outcome = _eval_branch(ins, consts)
+            if timing.cls == "branch":
+                outcome = _eval_branch(ins, before)
                 target = u32(ins.addr + ins.imm)
-                consts_after = self._transfer_consts(consts, ins)
-                pending_after = self._next_pending(ins)
                 if outcome is True:
-                    self._charge(
-                        cost, ins,
-                        Interval.exact(base + params.branch_taken_penalty)
-                        + load_use,
-                        load_use, branch=params.branch_taken_penalty)
-                    consts, pending, pc = consts_after, pending_after, target
+                    cost.add(self._taken_branch(timing))
+                    pc = target
                     continue
                 if outcome is False:
-                    self._charge(cost, ins, Interval.exact(base) + load_use,
-                                 load_use)
-                    consts, pending, pc = consts_after, pending_after, fall
+                    pc = fall
                     continue
                 # Data-dependent: fork both arms to the immediate
                 # postdominator and merge as an interval.
-                self._charge(cost, ins, Interval.exact(base) + load_use,
-                             load_use)
                 join = self.join_of.get(self.block_of[ins.addr])
                 arm_stops = stops if join is None else (stops
                                                         | frozenset({join}))
-                taken = self.walk(target, consts_after, pending_after,
-                                  arm_stops, depth + 1)
-                pen = CostVector()
-                pen.cycles += params.branch_taken_penalty
-                pen.stalls["stall_branch"] += params.branch_taken_penalty
-                region = self.region_of.get(ins.addr, "-")
-                pen.by_region[region] = Interval.exact(
-                    params.branch_taken_penalty)
-                block = self.block_of[ins.addr]
-                pen.by_block[block] = Interval.exact(
-                    params.branch_taken_penalty)
-                fall_end = self.walk(fall, consts_after, pending_after,
-                                     arm_stops, depth + 1)
+                taken = self.walk(target, consts, pending, arm_stops,
+                                  depth + 1)
+                pen = self._taken_branch(timing)
+                fall_end = self.walk(fall, consts, pending, arm_stops,
+                                     depth + 1)
                 prefix = cost.copy()
                 for terminal in taken.terminals:
                     terminals.append(prefix.copy().add(pen).add(terminal))
@@ -714,8 +689,7 @@ class _Walker:
                 else:
                     arms.append((fall_end.cost, fall_end))
                 if not arms:
-                    return _PathEnd(cost, consts_after, pending_after,
-                                    _HALT, terminals)
+                    return _PathEnd(cost, consts, pending, _HALT, terminals)
                 if len(arms) == 1:
                     arm_cost, arm = arms[0]
                     cost.add(arm_cost)
@@ -728,17 +702,11 @@ class _Walker:
                         f"addresses; continuing along the fall-through")
                 cost.add(cost_a.union(cost_b))
                 consts = self._join_consts(end_a.consts, end_b.consts)
-                pending = self._join_pending(end_a.pending, end_b.pending)
+                pending = end_a.pending | end_b.pending
                 pc = end_b.exit if end_a.exit != end_b.exit else end_a.exit
                 continue
 
-            if cls == "jump":
-                self._charge(cost, ins,
-                             Interval.exact(base + params.jump_penalty)
-                             + load_use,
-                             load_use, jump=params.jump_penalty)
-                consts = self._transfer_consts(consts, ins)
-                pending = self._next_pending(ins)
+            if timing.cls == "jump":
                 if "label" in ins.spec.syntax:
                     pc = u32(ins.addr + ins.imm)
                     continue
@@ -749,10 +717,6 @@ class _Walker:
 
             # Plain instruction (including the halting ebreak/ecall,
             # which the simulator retires and counts).
-            self._charge(cost, ins, Interval.exact(base) + load_use,
-                         load_use)
-            consts = self._transfer_consts(consts, ins)
-            pending = self._next_pending(ins)
             if name in HALT_MNEMONICS:
                 return _PathEnd(cost, consts, pending, _HALT, terminals)
             pc = fall

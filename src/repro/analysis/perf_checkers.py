@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
+from ..core.timing import InstrTiming, TimingParams
 from ..isa.instruction import Instruction
 from ..isa.registers import register_name
 from .cfg import HWLOOP_MNEMONICS
@@ -86,13 +87,13 @@ class LoadUseStallChecker(PerfChecker):
                    "between (hides the 1-cycle stall)")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
+        params = TimingParams()
         for block in ctx.cfg.blocks:
             body = block.instructions
+            timing = [InstrTiming(ins, params) for ins in body]
             for i, ins in enumerate(body[:-1]):
-                if ins.spec.timing != "load" or ins.rd == 0:
-                    continue
                 consumer = body[i + 1]
-                if ins.rd not in consumer.source_registers():
+                if not timing[i + 1].load_use(timing[i].pending):
                     continue
                 # Look for a later, independent instruction that could be
                 # moved between the load and its consumer.

@@ -4,13 +4,13 @@
 * :class:`repro.core.TimingParams` — pipeline timing knobs.
 * :class:`repro.core.PerfCounters` — cycle/instruction/stall accounting.
 * :class:`repro.core.units.DotpUnit` / :class:`repro.core.units.QuantUnit`
-  — microarchitectural models of the XpulpNN hardware blocks.
+  — reference models of the XpulpNN hardware blocks, used by their unit
+  tests and the ablation benchmark.
 """
 
 from .cpu import Cpu
 from .hwloop import HwLoopController
 from .perf import PerfCounters
-from .profile import ProfileReport, profile_counters, profile_program
 from .timing import StepTiming, TimingModel, TimingParams
 from .units import DotpUnit, QuantUnit
 
@@ -19,11 +19,8 @@ __all__ = [
     "DotpUnit",
     "HwLoopController",
     "PerfCounters",
-    "ProfileReport",
     "QuantUnit",
     "StepTiming",
     "TimingModel",
     "TimingParams",
-    "profile_counters",
-    "profile_program",
 ]

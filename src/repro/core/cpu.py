@@ -16,7 +16,7 @@ data lives in the attached :class:`~repro.soc.memory.Memory`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..engine.config import resolve_mode
 from ..errors import SimError, TrapError
@@ -25,7 +25,7 @@ from ..isa.registry import Isa, build_isa
 from ..soc.memory import Memory
 from ..soc.memmap import L2_SIZE
 from ..target.names import XPULPNN
-from ..trace.tracer import CallableTracer, Tracer
+from ..trace.tracer import Tracer
 from .hwloop import HwLoopController
 from .perf import PerfCounters
 from .timing import TimingModel, TimingParams
@@ -42,7 +42,6 @@ class Cpu:
         isa: str | Isa = XPULPNN,
         mem: Optional[Memory] = None,
         timing: Optional[TimingParams] = None,
-        trace: Optional[Callable] = None,
         hart_id: int = 0,
         engine: Optional[str] = None,
     ) -> None:
@@ -56,7 +55,6 @@ class Cpu:
         self.timing = TimingModel(timing)
         self._tracer: Optional[Tracer] = None
         self._mem_tracer: Optional[Tracer] = None
-        self.trace = trace
         self.collect_mnemonics = False
 
         #: Execution engine for :meth:`run` — "interp" steps every
@@ -104,26 +102,6 @@ class Cpu:
         self._mem_tracer = (
             tracer if tracer is not None and tracer.trace_memory else None
         )
-
-    @property
-    def trace(self):
-        """Legacy per-retire callback ``f(pc, ins)`` (None when unset).
-
-        Kept for backward compatibility: assigning a plain callable wraps
-        it in a :class:`~repro.trace.tracer.CallableTracer`; assigning a
-        :class:`~repro.trace.tracer.Tracer` attaches it directly.
-        """
-        tracer = self._tracer
-        if isinstance(tracer, CallableTracer):
-            return tracer.fn
-        return tracer
-
-    @trace.setter
-    def trace(self, value) -> None:
-        if value is None or isinstance(value, Tracer):
-            self.tracer = value
-        else:
-            self.tracer = CallableTracer(value)
 
     # ------------------------------------------------------------------
     # Profiled spans

@@ -2,12 +2,13 @@
 
 These mirror the paper's Fig. 3 (extended dot-product unit) and Fig. 4
 (quantization unit).  The instruction semantics in :mod:`repro.isa` do not
-depend on these classes — they are the *microarchitectural* view, used by
+depend on these classes — they are the *microarchitectural* view, used
+only by
 
 * unit tests that check the datapath behaviour matches the ISA semantics,
-* the power model (which bitwidth region toggles for a given op), and
-* the design-space benches (pipelined vs combinatorial quantization unit,
-  shared vs replicated multiplier regions).
+  and
+* the ablation benchmark (``benchmarks/test_ablations.py``: pipelined vs
+  combinatorial quantization unit).
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ read live cycle counters and can write hardware-loop registers) and the
 the interpreter.
 
 Blocks are decoded once into flat per-instruction tables — semantics,
-fall-through addresses, static cycle/stall prefix sums, per-class
-retirement counts — so the executors in :mod:`repro.engine.fastblock`
-and :mod:`repro.engine.fusion` never touch a dict-per-instruction fetch
-or allocate a :class:`~repro.core.timing.StepTiming` again.
+fall-through addresses, per-mnemonic retirement counts — plus the
+block's :class:`~repro.core.timing.BlockTiming` summary, so the
+executors in :mod:`repro.engine.fastblock` and :mod:`repro.engine.fusion`
+never touch a dict-per-instruction fetch or allocate a
+:class:`~repro.core.timing.StepTiming` again.
 
 Translated blocks are cached process-wide keyed on
 ``(program digest, ISA name, timing-parameter signature)`` plus the
@@ -22,7 +23,9 @@ pool, sweeps, trajectory regeneration) skip discovery entirely.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from ..core.timing import BlockTiming, prefix_counts
 
 #: Timing classes that end a block (and run on the interpreter).
 TERMINATOR_CLASSES = frozenset({"branch", "jump", "system", "csr", "hwloop"})
@@ -35,52 +38,24 @@ MAX_CACHED_PROGRAMS = 64
 
 
 class Block:
-    """One decoded straight-line block with precomputed accounting."""
+    """One decoded straight-line block with its timing summary."""
 
     __slots__ = (
         "addr", "n", "instrs", "execs", "addrs", "fts", "ft_index",
-        "addr_index", "srcs", "base", "lu", "static", "prefix",
-        "lu_prefix", "pending", "cls_prefix", "mn_prefix", "fused",
+        "addr_index", "timing", "mn_prefix", "fused",
     )
 
     def __init__(self, instrs: list, params) -> None:
-        n = len(instrs)
         self.addr = instrs[0].addr
-        self.n = n
+        self.n = len(instrs)
         self.instrs = instrs
         self.execs = [ins.spec.execute for ins in instrs]
         self.addrs = [ins.addr for ins in instrs]
         self.fts = [ins.addr + ins.spec.size for ins in instrs]
         self.ft_index = {ft: i for i, ft in enumerate(self.fts)}
         self.addr_index = {a: i for i, a in enumerate(self.addrs)}
-        self.srcs = [ins.source_registers() for ins in instrs]
-
-        class_cycles = params.class_cycles
-        lu_pen = params.load_use_penalty
-        self.base = [class_cycles[ins.spec.timing] for ins in instrs]
-        # rd loaded by the previous instruction (None when it is not a
-        # load) — the value TimingModel._pending_load_rd holds after it.
-        self.pending = [
-            ins.rd if ins.spec.timing == "load" else None for ins in instrs
-        ]
-        lu = [0] * n
-        for i in range(1, n):
-            pend = self.pending[i - 1]
-            if pend is not None and pend != 0 and pend in self.srcs[i]:
-                lu[i] = lu_pen
-        self.lu = lu
-        self.static = [b + s for b, s in zip(self.base, lu)]
-        prefix = [0] * (n + 1)
-        lu_prefix = [0] * (n + 1)
-        for i in range(n):
-            prefix[i + 1] = prefix[i] + self.static[i]
-            lu_prefix[i + 1] = lu_prefix[i] + lu[i]
-        self.prefix = prefix
-        self.lu_prefix = lu_prefix
-        self.cls_prefix = _prefix_counts(
-            [ins.spec.timing for ins in instrs])
-        self.mn_prefix = _prefix_counts(
-            [ins.mnemonic for ins in instrs])
+        self.timing = BlockTiming(instrs, params)
+        self.mn_prefix = prefix_counts([ins.mnemonic for ins in instrs])
         #: Fused-plan cache: loop-end fall-through address -> FusedPlan,
         #: or a side-exit reason string when fusion was statically
         #: declined (so the analysis never reruns per dispatch).
@@ -88,20 +63,6 @@ class Block:
 
     def __repr__(self) -> str:
         return f"Block({self.addr:#x}, {self.n} instrs)"
-
-
-def _prefix_counts(labels: List[str]) -> Dict[str, List[int]]:
-    out: Dict[str, List[int]] = {}
-    n = len(labels)
-    for key in set(labels):
-        pref = [0] * (n + 1)
-        count = 0
-        for i, label in enumerate(labels):
-            if label == key:
-                count += 1
-            pref[i + 1] = count
-        out[key] = pref
-    return out
 
 
 def discover(imem: dict, addr: int, params) -> Optional[Block]:

@@ -33,7 +33,7 @@ class SpanInfo:
         total = 0
         for i, inside in enumerate(self.mask):
             if inside:
-                total += block.static[i]
+                total += block.timing.static[i]
             prefix[i + 1] = total
         self.prefix = prefix
 
@@ -92,14 +92,8 @@ def run_block(cpu, block, limit: int, span: Optional[SpanInfo]) -> int:
 
 def _exec_segment(cpu, block, lo: int, hi: int,
                   span: Optional[SpanInfo]) -> None:
-    params = cpu.timing.params
-    mis_pen = params.misaligned_penalty
-    pend = cpu.timing._pending_load_rd
-    entry_lu = (
-        params.load_use_penalty
-        if pend is not None and pend != 0 and pend in block.srcs[lo]
-        else 0
-    )
+    mis_pen = cpu.timing.params.misaligned_penalty
+    entry_lu = block.timing.entry_stall(lo, cpu.timing.pending)
     execs = block.execs
     instrs = block.instrs
     addrs = block.addrs
@@ -144,19 +138,20 @@ def _flush(cpu, block, lo: int, hi: int, entry_lu: int, dyn_mis: int,
     if hi == lo:
         return
     perf = cpu.perf
-    lu0 = block.lu[lo]
+    timing = block.timing
+    entry_delta = entry_lu - timing.lu[lo]
     perf.cycles += (
-        block.prefix[hi] - block.prefix[lo] - lu0 + entry_lu
+        timing.prefix[hi] - timing.prefix[lo] + entry_delta
         + dyn_mis + dyn_tcdm
     )
     perf.instructions += hi - lo
     by_class = perf.by_class
-    for cls, pref in block.cls_prefix.items():
+    for cls, pref in timing.cls_prefix.items():
         delta = pref[hi] - pref[lo]
         if delta:
             by_class[cls] += delta
     perf.stall_load_use += (
-        block.lu_prefix[hi] - block.lu_prefix[lo] - lu0 + entry_lu)
+        timing.lu_prefix[hi] - timing.lu_prefix[lo] + entry_delta)
     perf.stall_misaligned += dyn_mis
     perf.stall_tcdm_contention += dyn_tcdm
     if cpu.collect_mnemonics:
@@ -168,6 +163,6 @@ def _flush(cpu, block, lo: int, hi: int, entry_lu: int, dyn_mis: int,
     if span is not None:
         profiled = span.prefix[hi] - span.prefix[lo] + dyn_profiled
         if span.mask[lo]:
-            profiled += entry_lu - lu0
+            profiled += entry_delta
         cpu.profiled_cycles += profiled
-    cpu.timing._pending_load_rd = block.pending[hi - 1]
+    cpu.timing.pending = timing.instrs[hi - 1].pending

@@ -508,9 +508,8 @@ class FusedPlan:
 
     __slots__ = (
         "body_len", "handlers", "invariants", "inductions", "acc_regs",
-        "committed_regs", "srcs0", "lu0_steady", "steady_static",
-        "steady_sum", "lu_per_iter", "cls_counts", "mn_counts",
-        "pending_after", "mis_pen", "lu_pen",
+        "committed_regs", "timing", "steady", "cls_counts", "mn_counts",
+        "pending_after", "mis_pen",
     )
 
     def __init__(self, block, body_len: int, params) -> None:
@@ -528,34 +527,18 @@ class FusedPlan:
             r for r, c in classes.items() if c in ("induction", "local"))
 
         self.mis_pen = params.misaligned_penalty
-        self.lu_pen = params.load_use_penalty
-        self.srcs0 = block.srcs[0]
-        pending_last = block.pending[body_len - 1]
-        # Steady-state load-use stall on the body's first instruction:
-        # from iteration 2 on, the "previous" instruction is the body's
-        # last one (the hardware-loop back-edge is a pure fetch
-        # redirect, so the hazard wraps around).
-        self.lu0_steady = (
-            self.lu_pen
-            if pending_last is not None and pending_last != 0
-            and pending_last in self.srcs0 else 0
-        )
-        self.steady_static = [
-            block.base[i] + (self.lu0_steady if i == 0 else block.lu[i])
-            for i in range(body_len)
-        ]
-        self.steady_sum = sum(self.steady_static)
-        self.lu_per_iter = self.lu0_steady + sum(
-            block.lu[i] for i in range(1, body_len))
+        self.timing = block.timing
+        self.steady = block.timing.loop(body_len)
         self.cls_counts = {
             cls: pref[body_len]
-            for cls, pref in block.cls_prefix.items() if pref[body_len]
+            for cls, pref in block.timing.cls_prefix.items()
+            if pref[body_len]
         }
         self.mn_counts = {
             mn: pref[body_len]
             for mn, pref in block.mn_prefix.items() if pref[body_len]
         }
-        self.pending_after = pending_last
+        self.pending_after = block.timing.instrs[body_len - 1].pending
 
 
 def compile_plan(block, body_len: int, params) -> FusedPlan:
@@ -624,18 +607,14 @@ def execute_plan(cpu, plan: FusedPlan, level: int, span_mask) -> int:
         regs[reg] = (regs[reg] + total) & MASK32
 
     perf = cpu.perf
-    timing = cpu.timing
-    pend = timing._pending_load_rd
-    entry_lu = (
-        plan.lu_pen
-        if pend is not None and pend != 0 and pend in plan.srcs0 else 0
-    )
+    steady = plan.steady
+    entry_lu = plan.timing.entry_stall(0, cpu.timing.pending)
     mis_cycles = sum(ctx.mis) * plan.mis_pen
-    first_iter_extra = entry_lu - plan.lu0_steady
-    perf.cycles += plan.steady_sum * n + first_iter_extra + mis_cycles
+    first_iter_extra = entry_lu - steady.lu0
+    perf.cycles += steady.total * n + first_iter_extra + mis_cycles
     perf.instructions += plan.body_len * n
     perf.hwloop_backedges += n - 1
-    perf.stall_load_use += plan.lu_per_iter * n + first_iter_extra
+    perf.stall_load_use += steady.load_use * n + first_iter_extra
     perf.stall_misaligned += mis_cycles
     for cls, count in plan.cls_counts.items():
         perf.by_class[cls] += count * n
@@ -644,7 +623,7 @@ def execute_plan(cpu, plan: FusedPlan, level: int, span_mask) -> int:
             perf.by_mnemonic[mn] += count * n
     if span_mask is not None:
         profiled = sum(
-            cycles * n for i, cycles in enumerate(plan.steady_static)
+            cycles * n for i, cycles in enumerate(steady.static)
             if span_mask[i]
         )
         if span_mask[0]:
@@ -652,7 +631,7 @@ def execute_plan(cpu, plan: FusedPlan, level: int, span_mask) -> int:
         profiled += sum(
             m * plan.mis_pen for i, m in enumerate(ctx.mis) if span_mask[i])
         cpu.profiled_cycles += profiled
-    timing._pending_load_rd = plan.pending_after
+    cpu.timing.pending = plan.pending_after
     hw.count[level] = 0
     cpu.pc = hw.end[level]
     return plan.body_len * n

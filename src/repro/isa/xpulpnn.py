@@ -20,7 +20,8 @@ the address in ``rs2`` (second tree at a hard-wired stride), producing two
 unsigned Q-bit codes packed into the low bits of ``rd``.  The instruction
 is multicycle (9 cycles nibble / 5 cycles crumb) and stalls the pipeline
 while the quantization FSM walks the tree — the timing lives in
-:mod:`repro.core.timing`, the FSM model in :mod:`repro.core.units`.
+:mod:`repro.core.timing`; :mod:`repro.core.units` holds a reference model
+of the FSM that only its tests and the ablation benchmark use.
 """
 
 from __future__ import annotations

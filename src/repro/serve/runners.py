@@ -12,6 +12,7 @@ every cacheable result::
 
     {"schema":  CACHE_SCHEMA,
      "spec":    TargetSpec.digest(),      # the machine
+     "timing":  TimingParams digest,      # the cycle model
      "program": Program/network digest,   # the code
      "config":  canonical job config}     # everything else
 
@@ -27,7 +28,7 @@ from typing import Any, Dict, Tuple
 
 from ..telemetry import metrics as tmetrics
 from .cache import CACHE_SCHEMA
-from .hashing import canonical_json, network_digest
+from .hashing import canonical_json, digest_of, network_digest
 from .jobs import (
     CompileJob,
     ConvPointJob,
@@ -139,6 +140,15 @@ def _convpoint_resolved(job: ConvPointJob):
 
 def cache_key_parts(job: Job) -> Dict[str, str]:
     """The content-address components for *job* (see module docstring)."""
+    from ..core.timing import TimingParams
+
+    # Every runner simulates (or statically costs) with the default
+    # timing parameters, so a timing edit re-keys every result.
+    return {**_job_key_parts(job),
+            "timing": digest_of(TimingParams().signature())}
+
+
+def _job_key_parts(job: Job) -> Dict[str, str]:
     from ..target import get_target
 
     if isinstance(job, ProfileJob):
@@ -223,14 +233,13 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
         }
     if isinstance(job, CostJob):
         from ..analysis.cost import COST_SCHEMA_VERSION
-        from .hashing import digest_of
 
         programs = _cost_programs(job)
         config = {**job.config_dict(), "cost_schema": COST_SCHEMA_VERSION}
         return {
             "schema": CACHE_SCHEMA,
             "kind": job.kind,
-            "spec": "-",              # no machine: timing params only
+            "spec": "-",              # no machine: timing only
             "program": digest_of([p.digest() for _, p in programs]),
             "config": canonical_json(config),
         }

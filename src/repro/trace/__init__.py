@@ -36,12 +36,11 @@ from .perfetto import (
     validate_chrome_trace_file,
     write_chrome_trace,
 )
-from .tracer import CallableTracer, EventTracer, TextTracer, Tracer
+from .tracer import EventTracer, TextTracer, Tracer
 
 __all__ = [
     "STALL_CAUSES",
     "BarrierSpan",
-    "CallableTracer",
     "DmaEvent",
     "EventTracer",
     "HwloopEvent",

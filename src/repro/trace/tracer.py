@@ -70,20 +70,6 @@ class Tracer:
         pass
 
 
-class CallableTracer(Tracer):
-    """Adapter for the legacy ``trace`` protocol: a ``f(pc, ins)`` callable.
-
-    Assigning a plain callable to :attr:`Cpu.trace` wraps it in this class
-    so existing harnesses keep working unchanged.
-    """
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def on_retire(self, cpu, pc: int, ins, timing) -> None:
-        self.fn(pc, ins)
-
-
 class TextTracer(Tracer):
     """Human-readable instruction log (the ``repro run --trace`` format)."""
 

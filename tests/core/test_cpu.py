@@ -4,6 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.errors import SimError
+from repro.trace import Tracer
 from tests.conftest import run_asm
 
 
@@ -49,7 +50,12 @@ class TestExecution:
 
     def test_trace_hook(self, cpu):
         seen = []
-        cpu.trace = lambda pc, ins: seen.append((pc, ins.mnemonic))
+
+        class Recorder(Tracer):
+            def on_retire(self, cpu, pc, ins, timing):
+                seen.append((pc, ins.mnemonic))
+
+        cpu.tracer = Recorder()
         run_asm(cpu, "addi a0, zero, 1\nebreak")
         assert seen[0] == (0, "addi")
         assert seen[-1][1] == "ebreak"

@@ -34,7 +34,7 @@ def state_of(cpu):
         "regs": list(cpu.regs),
         "perf": cpu.perf.snapshot(),
         "profiled_cycles": cpu.profiled_cycles,
-        "pending_load": cpu.timing._pending_load_rd,
+        "pending_load": cpu.timing.pending,
         "hwloops": (list(cpu.hwloops.start), list(cpu.hwloops.end),
                     list(cpu.hwloops.count)),
         "mem": bytes(cpu.mem._data),

@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from repro.core.timing import TimingParams
+from repro.eval import workloads
 from repro.serve import (
     CACHE_SCHEMA,
+    ConvPointJob,
     ResultCache,
     ScalingJob,
     SelfTestJob,
@@ -242,6 +245,25 @@ class TestServiceIntegration:
         report = service.run([ScalingJob(bits=4, cores=2, out_ch=32,
                                          reduction=128)])
         assert report.cached_count == 0
+
+    def test_timing_change_misses(self, tmp_path, monkeypatch):
+        service = SimulationService(cache=ResultCache(tmp_path / "c"))
+        job = ConvPointJob(bits=4)
+        cached = service.run([job]).results[0].payload["cycles"]
+
+        default_init = TimingParams.__init__
+
+        def slower_load_use(self, *args, **kwargs):
+            kwargs.setdefault("load_use_penalty", 3)
+            default_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimingParams, "__init__", slower_load_use)
+        workloads._point_for.cache_clear()     # the in-process memo
+        report = service.run([job])
+        workloads._point_for.cache_clear()
+        assert report.ok
+        assert report.cached_count == 0
+        assert report.results[0].payload["cycles"] > cached
 
     def test_corrupt_entry_recomputed_through_service(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
