@@ -54,8 +54,14 @@ class Cpu:
         self.perf = PerfCounters()
         self.timing = TimingModel(timing)
         self._tracer: Optional[Tracer] = None
+        self._retire_tracer: Optional[Tracer] = None
         self._mem_tracer: Optional[Tracer] = None
-        self.collect_mnemonics = False
+        #: Per-region counters (a :class:`~repro.trace.metrics.RegionCounters`)
+        #: charged by every step and every engine block, keyed by the
+        #: loaded program's ``.region`` names; None counts no regions.
+        #: Attaching a tracer selects its ``registry``.
+        self.region_counters = None
+        self._region_of: Optional[dict] = None
 
         #: Execution engine for :meth:`run` — "interp" steps every
         #: instruction; "block" runs translated basic blocks
@@ -73,14 +79,6 @@ class Cpu:
         self._tcdm_stalls = 0
         self._csrs: dict = {}
 
-        #: Optional list of (lo, hi) address spans; cycles spent executing
-        #: instructions inside any span accumulate in profiled_cycles
-        #: (used to attribute e.g. quantization-epilogue cost, Fig 6).
-        #: Assigning rebuilds the per-address membership set consulted on
-        #: the hot path (see the profile_spans property below).
-        self.profile_spans = None
-        self.profiled_cycles = 0
-
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
@@ -90,48 +88,32 @@ class Cpu:
         """The attached :class:`~repro.trace.tracer.Tracer` (or None).
 
         Detached tracing costs one ``is not None`` check per retired
-        instruction; memory-access hooks are gated separately on the
-        tracer's ``trace_memory`` flag so span-level tracing never touches
-        the load/store fast path.
+        instruction; per-instruction hooks fire only for a tracer whose
+        ``per_retire`` is set (it keeps the core on the interpreter), and
+        memory-access hooks are gated separately on ``trace_memory`` so
+        span-level tracing never touches the load/store fast path.
         """
         return self._tracer
 
     @tracer.setter
     def tracer(self, tracer: Optional[Tracer]) -> None:
         self._tracer = tracer
+        self._retire_tracer = (
+            tracer if tracer is not None and tracer.per_retire else None
+        )
         self._mem_tracer = (
             tracer if tracer is not None and tracer.trace_memory else None
         )
+        self.region_counters = tracer.registry if tracer is not None else None
 
-    # ------------------------------------------------------------------
-    # Profiled spans
-    # ------------------------------------------------------------------
-
-    @property
-    def profile_spans(self):
-        """Optional list of ``(lo, hi)`` address spans whose execution
-        cycles accumulate in ``profiled_cycles``.
-
-        Membership is resolved once per assignment (and per program
-        load) into a set of in-span instruction addresses, so the
-        per-retire cost is a single set lookup instead of a linear scan
-        over the span list."""
-        return self._profile_spans
-
-    @profile_spans.setter
-    def profile_spans(self, spans) -> None:
-        self._profile_spans = spans
-        self._rebuild_span_addrs()
-
-    def _rebuild_span_addrs(self) -> None:
-        spans = self._profile_spans
-        if spans is None:
-            self._span_addrs = None
-        else:
-            self._span_addrs = frozenset(
-                addr for addr in self._imem
-                if any(lo <= addr < hi for lo, hi in spans)
-            )
+    def region_map(self) -> dict:
+        """Instruction address -> region name of the loaded program
+        (empty for ``load_from_memory`` images), built on first use."""
+        if self._region_of is None:
+            program = self._loaded_program
+            self._region_of = (
+                program.region_map() if program is not None else {})
+        return self._region_of
 
     # ------------------------------------------------------------------
     # Program loading
@@ -156,7 +138,7 @@ class Cpu:
         self._loaded_program = program
         self._block_digest = None
         self._imem_version += 1
-        self._rebuild_span_addrs()
+        self._region_of = None
 
     def materialize(self, program) -> None:
         """Write the program's encoded bytes into data memory."""
@@ -181,7 +163,7 @@ class Cpu:
         self._loaded_program = None
         self._block_digest = None
         self._imem_version += 1
-        self._rebuild_span_addrs()
+        self._region_of = None
 
     # ------------------------------------------------------------------
     # Memory interface used by instruction semantics
@@ -301,18 +283,15 @@ class Cpu:
             if redirect is not None:
                 next_pc = redirect
                 self.perf.hwloop_backedges += 1
-                if self._tracer is not None:
-                    self._tracer.on_hwloop(self, self.pc, redirect)
+                if self._retire_tracer is not None:
+                    self._retire_tracer.on_hwloop(self, self.pc, redirect)
             else:
                 next_pc = fall_through
 
         timing = self.timing.step(ins, taken, self._misaligned)
-        step_extra = self._extra_stalls + self._tcdm_stalls
-        span_addrs = self._span_addrs
-        if span_addrs is not None and self.pc in span_addrs:
-            self.profiled_cycles += timing.total + step_extra
+        cycles = timing.total + self._extra_stalls + self._tcdm_stalls
         perf = self.perf
-        perf.cycles += timing.total + step_extra
+        perf.cycles += cycles
         perf.instructions += 1
         perf.by_class[ins.spec.timing] += 1
         perf.stall_load_use += timing.load_use_stall
@@ -320,11 +299,46 @@ class Cpu:
         perf.stall_jump += timing.jump_stall
         perf.stall_misaligned += timing.misaligned_stall + self._extra_stalls
         perf.stall_tcdm_contention += self._tcdm_stalls
-        if self.collect_mnemonics:
-            perf.by_mnemonic[ins.mnemonic] += 1
-        if self._tracer is not None:
-            self._tracer.on_retire(self, self.pc, ins, timing)
+        if self.region_counters is not None:
+            self._charge_region(ins, timing, cycles)
+        if self._retire_tracer is not None:
+            self._retire_tracer.on_retire(self, self.pc, ins, timing)
         self.pc = next_pc
+
+    def _charge_region(self, ins, timing, cycles: int) -> None:
+        """Repeat :meth:`step`'s accounting on the step's region."""
+        perf = self.region_counters.counters_for(
+            self.region_map().get(self.pc))
+        perf.cycles += cycles
+        perf.instructions += 1
+        perf.by_class[ins.spec.timing] += 1
+        perf.stall_load_use += timing.load_use_stall
+        perf.stall_branch += timing.branch_stall
+        perf.stall_jump += timing.jump_stall
+        perf.stall_misaligned += timing.misaligned_stall + self._extra_stalls
+        perf.stall_tcdm_contention += self._tcdm_stalls
+
+    def charge(self, region: Optional[str], timing, lo: int, hi: int,
+               times: int, cycles: int, load_use: int, misaligned: int,
+               tcdm: int) -> None:
+        """Account *times* runs of instructions ``lo:hi`` of a block
+        (its :class:`~repro.core.timing.BlockTiming` *timing*) — a
+        block-engine segment or fused loop — on the core's counters and,
+        when counting regions, on *region*'s."""
+        perf = self.perf
+        targets = (perf,) if self.region_counters is None else (
+            perf, self.region_counters.counters_for(region))
+        for perf in targets:
+            perf.cycles += cycles
+            perf.instructions += (hi - lo) * times
+            by_class = perf.by_class
+            for cls, pref in timing.cls_prefix.items():
+                count = pref[hi] - pref[lo]
+                if count:
+                    by_class[cls] += count * times
+            perf.stall_load_use += load_use
+            perf.stall_misaligned += misaligned
+            perf.stall_tcdm_contention += tcdm
 
     def run(
         self,
@@ -338,23 +352,27 @@ class Cpu:
 
         With ``engine="block"`` the run is dispatched through the
         block-translation engine (:mod:`repro.engine`) — bit- and
-        cycle-identical to interpreting, but only engaged when nothing
-        can observe intermediate state: a tracer or a contended cluster
-        memory port falls back to the interpreter automatically.
+        cycle-identical to interpreting, region counters included, but
+        only engaged when nothing can observe intermediate state: a
+        per-retire tracer or a contended cluster memory port falls back
+        to the interpreter automatically.
         """
         if entry is not None:
             self.pc = entry
         self._halted = None
         if (
             self.engine == "block"
-            and self._tracer is None
+            and self._retire_tracer is None
             and type(self.mem) is Memory
         ):
             from ..engine.engine import BlockEngine
 
             if self._block_engine is None:
                 self._block_engine = BlockEngine(self)
-            return self._block_engine.run(max_instructions)
+            perf = self._block_engine.run(max_instructions)
+            if self._tracer is not None:
+                self._tracer.on_halt(self)
+            return perf
         step = self.step
         for _ in range(max_instructions):
             step()

@@ -20,7 +20,6 @@ class PerfCounters:
     cycles: int = 0
     instructions: int = 0
     by_class: Counter = field(default_factory=Counter)
-    by_mnemonic: Counter = field(default_factory=Counter)
     stall_load_use: int = 0
     stall_branch: int = 0
     stall_jump: int = 0
@@ -45,7 +44,6 @@ class PerfCounters:
         for name in self._SCALARS:
             setattr(self, name, 0)
         self.by_class.clear()
-        self.by_mnemonic.clear()
 
     @property
     def total_stalls(self) -> int:
@@ -78,7 +76,6 @@ class PerfCounters:
         """Full machine-readable view (JSON-friendly nested dicts)."""
         data: Dict = {name: getattr(self, name) for name in self._SCALARS}
         data["by_class"] = dict(sorted(self.by_class.items()))
-        data["by_mnemonic"] = dict(sorted(self.by_mnemonic.items()))
         return data
 
     @classmethod
@@ -87,13 +84,11 @@ class PerfCounters:
 
         Used by the batch-simulation service to reconstruct counters from
         cached / worker-transported JSON payloads; ``from_dict(to_dict())``
-        is exact (all fields are integers).
+        is exact (all fields are integers); unknown keys are ignored.
         """
         perf = cls(**{name: int(data.get(name, 0)) for name in cls._SCALARS})
         perf.by_class = Counter({
             str(k): int(v) for k, v in data.get("by_class", {}).items()})
-        perf.by_mnemonic = Counter({
-            str(k): int(v) for k, v in data.get("by_mnemonic", {}).items()})
         return perf
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
@@ -107,7 +102,6 @@ class PerfCounters:
         for name in self._SCALARS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.by_class.update(other.by_class)
-        self.by_mnemonic.update(other.by_mnemonic)
         return self
 
     def delta_since(self, other: "PerfCounters") -> "PerfCounters":
@@ -117,7 +111,6 @@ class PerfCounters:
             for name in self._SCALARS
         })
         delta.by_class = self.by_class - other.by_class
-        delta.by_mnemonic = self.by_mnemonic - other.by_mnemonic
         return delta
 
     def copy(self) -> "PerfCounters":
@@ -125,7 +118,6 @@ class PerfCounters:
             name: getattr(self, name) for name in self._SCALARS
         })
         clone.by_class = Counter(self.by_class)
-        clone.by_mnemonic = Counter(self.by_mnemonic)
         return clone
 
     def __repr__(self) -> str:

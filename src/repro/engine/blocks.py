@@ -5,13 +5,15 @@ whose timing class cannot transfer control or mutate loop/CSR state
 mid-stream.  Branches, jumps, ``ebreak``/``ecall``, CSR accesses (they
 read live cycle counters and can write hardware-loop registers) and the
 ``lp.*`` setup instructions terminate discovery and always execute on
-the interpreter.
+the interpreter.  A block also ends where the program's ``.region``
+changes, so each block charges exactly one region
+(:meth:`~repro.core.cpu.Cpu.charge`).
 
 Blocks are decoded once into flat per-instruction tables — semantics,
-fall-through addresses, per-mnemonic retirement counts — plus the
-block's :class:`~repro.core.timing.BlockTiming` summary, so the
-executors in :mod:`repro.engine.fastblock` and :mod:`repro.engine.fusion`
-never touch a dict-per-instruction fetch or allocate a
+fall-through addresses — plus the block's
+:class:`~repro.core.timing.BlockTiming` summary, so the executors in
+:mod:`repro.engine.fastblock` and :mod:`repro.engine.fusion` never touch
+a dict-per-instruction fetch or allocate a
 :class:`~repro.core.timing.StepTiming` again.
 
 Translated blocks are cached process-wide keyed on
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..core.timing import BlockTiming, prefix_counts
+from ..core.timing import BlockTiming
 
 #: Timing classes that end a block (and run on the interpreter).
 TERMINATOR_CLASSES = frozenset({"branch", "jump", "system", "csr", "hwloop"})
@@ -42,10 +44,10 @@ class Block:
 
     __slots__ = (
         "addr", "n", "instrs", "execs", "addrs", "fts", "ft_index",
-        "addr_index", "timing", "mn_prefix", "fused",
+        "addr_index", "timing", "region", "fused",
     )
 
-    def __init__(self, instrs: list, params) -> None:
+    def __init__(self, instrs: list, params, region: Optional[str]) -> None:
         self.addr = instrs[0].addr
         self.n = len(instrs)
         self.instrs = instrs
@@ -55,7 +57,8 @@ class Block:
         self.ft_index = {ft: i for i, ft in enumerate(self.fts)}
         self.addr_index = {a: i for i, a in enumerate(self.addrs)}
         self.timing = BlockTiming(instrs, params)
-        self.mn_prefix = prefix_counts([ins.mnemonic for ins in instrs])
+        #: The ``.region`` every instruction belongs to (None: unmarked).
+        self.region = region
         #: Fused-plan cache: loop-end fall-through address -> FusedPlan,
         #: or a side-exit reason string when fusion was statically
         #: declined (so the analysis never reruns per dispatch).
@@ -65,20 +68,24 @@ class Block:
         return f"Block({self.addr:#x}, {self.n} instrs)"
 
 
-def discover(imem: dict, addr: int, params) -> Optional[Block]:
+def discover(imem: dict, addr: int, params,
+             region_of: dict) -> Optional[Block]:
     """Decode the block starting at *addr*, or ``None`` when the first
-    instruction is absent (fetch fault) or interpreter-only."""
+    instruction is absent (fetch fault) or interpreter-only.  *region_of*
+    maps addresses to region names (:meth:`Cpu.region_map`)."""
+    region = region_of.get(addr)
     instrs = []
     a = addr
     while len(instrs) < MAX_BLOCK_INSTRUCTIONS:
         ins = imem.get(a)
-        if ins is None or ins.spec.timing in TERMINATOR_CLASSES:
+        if (ins is None or ins.spec.timing in TERMINATOR_CLASSES
+                or region_of.get(a) != region):
             break
         instrs.append(ins)
         a += ins.spec.size
     if not instrs:
         return None
-    return Block(instrs, params)
+    return Block(instrs, params, region)
 
 
 class ProgramBlockCache:

@@ -19,9 +19,11 @@ granularity:
    execute on the unmodified interpreter ``step()``.
 
 The engine is only engaged when nothing can observe intermediate state:
-no tracer attached and a plain (uncontended) memory — cluster cores with
-TCDM ports keep the interpreter.  Statistics are plain integers during
-the run and are published to the telemetry registry
+no per-retire tracer attached and a plain (uncontended) memory — cluster
+cores with TCDM ports keep the interpreter.  Per-region counters need no
+such hook: every segment and fused dispatch charges its block's region
+through :meth:`~repro.core.cpu.Cpu.charge`.  Statistics are plain
+integers during the run and are published to the telemetry registry
 (``engine.*`` counters) when the run ends.
 """
 
@@ -31,7 +33,7 @@ from typing import Dict, Optional
 
 from ..errors import SimError
 from .blocks import GLOBAL_CACHE, Block, discover
-from .fastblock import SpanInfo, run_block
+from .fastblock import run_block
 
 _MISSING = object()
 
@@ -91,9 +93,6 @@ class BlockEngine:
         # Fallback block map for load_from_memory images (no digest).
         self._local_map: Dict[int, Optional[Block]] = {}
         self._local_version = -1
-        # Profiled-span attribution, invalidated with cpu._span_addrs.
-        self._spans: Dict[Block, Optional[SpanInfo]] = {}
-        self._span_for: Optional[object] = None
 
     # ------------------------------------------------------------------
 
@@ -112,22 +111,11 @@ class BlockEngine:
             self._local_version = cpu._imem_version
         return self._local_map
 
-    def _span_info(self, block: Block) -> Optional[SpanInfo]:
-        span = self._spans.get(block, _MISSING)
-        if span is _MISSING:
-            info = SpanInfo(block, self.cpu._span_addrs)
-            span = self._spans[block] = info if info.any else None
-        return span
-
     # ------------------------------------------------------------------
 
     def run(self, max_instructions: int):
         cpu = self.cpu
         blocks = self._block_map()
-        span_addrs = cpu._span_addrs
-        if span_addrs is not self._span_for:
-            self._spans = {}
-            self._span_for = span_addrs
         stats = self.stats
         hw = cpu.hwloops
         count = hw.count
@@ -146,7 +134,7 @@ class BlockEngine:
                 pc = cpu.pc
                 block = blocks.get(pc, _MISSING)
                 if block is _MISSING:
-                    block = discover(imem, pc, params)
+                    block = discover(imem, pc, params, cpu.region_map())
                     blocks[pc] = block
                     if block is not None:
                         stats.blocks_translated += 1
@@ -168,9 +156,7 @@ class BlockEngine:
                 if done:
                     executed += done
                     continue
-                span = self._span_info(block) \
-                    if span_addrs is not None else None
-                executed += run_block(cpu, block, budget, span)
+                executed += run_block(cpu, block, budget)
             return cpu.perf
         finally:
             stats.publish()
@@ -219,11 +205,8 @@ class BlockEngine:
         if isinstance(plan, str):
             stats.side_exit(plan)
             return 0
-        span = self._span_info(block) \
-            if cpu._span_addrs is not None else None
-        span_mask = span.mask if span is not None else None
         try:
-            retired = execute_plan(cpu, plan, level, span_mask)
+            retired = execute_plan(cpu, plan, level)
         except Unfusable as declined:
             stats.side_exit(declined.reason)
             return 0

@@ -8,7 +8,7 @@ allocation, no per-retire counter writes.  Cycle and stall accounting
 is flushed per *segment* from the block's precomputed prefix sums and
 is bit-identical to interpreting the same instructions — including
 load-use hazards across segment and block boundaries, misaligned-access
-penalties, quantization-FSM stalls, profiled-span attribution and trap
+penalties, quantization-FSM stalls, per-region counters and trap
 behaviour (a fault flushes the already-retired prefix, leaves ``pc`` on
 the faulting instruction, and re-raises).
 
@@ -19,30 +19,8 @@ is provably straight-line and needs no redirect check.
 
 from __future__ import annotations
 
-from typing import Optional
 
-
-class SpanInfo:
-    """Profiled-span attribution for one block (``Cpu.profile_spans``)."""
-
-    __slots__ = ("mask", "prefix")
-
-    def __init__(self, block, span_addrs) -> None:
-        self.mask = [addr in span_addrs for addr in block.addrs]
-        prefix = [0] * (block.n + 1)
-        total = 0
-        for i, inside in enumerate(self.mask):
-            if inside:
-                total += block.timing.static[i]
-            prefix[i + 1] = total
-        self.prefix = prefix
-
-    @property
-    def any(self) -> bool:
-        return self.prefix[-1] > 0 or any(self.mask)
-
-
-def run_block(cpu, block, limit: int, span: Optional[SpanInfo]) -> int:
+def run_block(cpu, block, limit: int) -> int:
     """Execute *block* from its first instruction; returns the number of
     instructions retired (at most *limit*).  ``cpu.pc`` is left exactly
     where the interpreter would leave it."""
@@ -69,7 +47,7 @@ def run_block(cpu, block, limit: int, span: Optional[SpanInfo]) -> int:
             if stop == idx:
                 cpu.pc = block.addrs[idx]
                 return executed
-        _exec_segment(cpu, block, idx, stop, span)
+        _exec_segment(cpu, block, idx, stop)
         executed += stop - idx
         if not at_boundary:
             cpu.pc = block.addrs[stop] if stop < n else block.fts[n - 1]
@@ -90,20 +68,17 @@ def run_block(cpu, block, limit: int, span: Optional[SpanInfo]) -> int:
         idx = j
 
 
-def _exec_segment(cpu, block, lo: int, hi: int,
-                  span: Optional[SpanInfo]) -> None:
+def _exec_segment(cpu, block, lo: int, hi: int) -> None:
     mis_pen = cpu.timing.params.misaligned_penalty
     entry_lu = block.timing.entry_stall(lo, cpu.timing.pending)
     execs = block.execs
     instrs = block.instrs
     addrs = block.addrs
-    mask = span.mask if span is not None else None
     cpu._misaligned = 0
     cpu._extra_stalls = 0
     cpu._tcdm_stalls = 0
     dyn_mis = 0
     dyn_tcdm = 0
-    dyn_profiled = 0
     i = lo
     try:
         while i < hi:
@@ -114,8 +89,6 @@ def _exec_segment(cpu, block, lo: int, hi: int,
                 tcdm = cpu._tcdm_stalls
                 dyn_mis += mis
                 dyn_tcdm += tcdm
-                if mask is not None and mask[i]:
-                    dyn_profiled += mis + tcdm
                 cpu._misaligned = 0
                 cpu._extra_stalls = 0
                 cpu._tcdm_stalls = 0
@@ -125,44 +98,21 @@ def _exec_segment(cpu, block, lo: int, hi: int,
         # the fault (the faulting one is charged nothing, exactly like
         # Cpu.step aborting before its timing update) and re-raise with
         # pc parked on the faulting instruction.
-        _flush(cpu, block, lo, i, entry_lu, dyn_mis, dyn_tcdm,
-               dyn_profiled, span)
+        _flush(cpu, block, lo, i, entry_lu, dyn_mis, dyn_tcdm)
         raise
-    _flush(cpu, block, lo, hi, entry_lu, dyn_mis, dyn_tcdm,
-           dyn_profiled, span)
+    _flush(cpu, block, lo, hi, entry_lu, dyn_mis, dyn_tcdm)
 
 
 def _flush(cpu, block, lo: int, hi: int, entry_lu: int, dyn_mis: int,
-           dyn_tcdm: int, dyn_profiled: int,
-           span: Optional[SpanInfo]) -> None:
+           dyn_tcdm: int) -> None:
     if hi == lo:
         return
-    perf = cpu.perf
     timing = block.timing
     entry_delta = entry_lu - timing.lu[lo]
-    perf.cycles += (
+    cpu.charge(
+        block.region, timing, lo, hi, 1,
         timing.prefix[hi] - timing.prefix[lo] + entry_delta
-        + dyn_mis + dyn_tcdm
-    )
-    perf.instructions += hi - lo
-    by_class = perf.by_class
-    for cls, pref in timing.cls_prefix.items():
-        delta = pref[hi] - pref[lo]
-        if delta:
-            by_class[cls] += delta
-    perf.stall_load_use += (
-        timing.lu_prefix[hi] - timing.lu_prefix[lo] + entry_delta)
-    perf.stall_misaligned += dyn_mis
-    perf.stall_tcdm_contention += dyn_tcdm
-    if cpu.collect_mnemonics:
-        by_mn = perf.by_mnemonic
-        for mn, pref in block.mn_prefix.items():
-            delta = pref[hi] - pref[lo]
-            if delta:
-                by_mn[mn] += delta
-    if span is not None:
-        profiled = span.prefix[hi] - span.prefix[lo] + dyn_profiled
-        if span.mask[lo]:
-            profiled += entry_delta
-        cpu.profiled_cycles += profiled
+        + dyn_mis + dyn_tcdm,
+        timing.lu_prefix[hi] - timing.lu_prefix[lo] + entry_delta,
+        dyn_mis, dyn_tcdm)
     cpu.timing.pending = timing.instrs[hi - 1].pending

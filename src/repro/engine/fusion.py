@@ -508,7 +508,7 @@ class FusedPlan:
 
     __slots__ = (
         "body_len", "handlers", "invariants", "inductions", "acc_regs",
-        "committed_regs", "timing", "steady", "cls_counts", "mn_counts",
+        "committed_regs", "timing", "steady", "region",
         "pending_after", "mis_pen",
     )
 
@@ -529,15 +529,7 @@ class FusedPlan:
         self.mis_pen = params.misaligned_penalty
         self.timing = block.timing
         self.steady = block.timing.loop(body_len)
-        self.cls_counts = {
-            cls: pref[body_len]
-            for cls, pref in block.timing.cls_prefix.items()
-            if pref[body_len]
-        }
-        self.mn_counts = {
-            mn: pref[body_len]
-            for mn, pref in block.mn_prefix.items() if pref[body_len]
-        }
+        self.region = block.region
         self.pending_after = block.timing.instrs[body_len - 1].pending
 
 
@@ -547,7 +539,7 @@ def compile_plan(block, body_len: int, params) -> FusedPlan:
     return FusedPlan(block, body_len, params)
 
 
-def execute_plan(cpu, plan: FusedPlan, level: int, span_mask) -> int:
+def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
     """Run all remaining iterations of the active loop *level* under
     *plan*; returns instructions retired.  Raises :class:`Unfusable`
     (with no state mutated) when a dynamic precondition fails."""
@@ -606,31 +598,14 @@ def execute_plan(cpu, plan: FusedPlan, level: int, span_mask) -> int:
             total = contribution * n
         regs[reg] = (regs[reg] + total) & MASK32
 
-    perf = cpu.perf
     steady = plan.steady
     entry_lu = plan.timing.entry_stall(0, cpu.timing.pending)
     mis_cycles = sum(ctx.mis) * plan.mis_pen
     first_iter_extra = entry_lu - steady.lu0
-    perf.cycles += steady.total * n + first_iter_extra + mis_cycles
-    perf.instructions += plan.body_len * n
-    perf.hwloop_backedges += n - 1
-    perf.stall_load_use += steady.load_use * n + first_iter_extra
-    perf.stall_misaligned += mis_cycles
-    for cls, count in plan.cls_counts.items():
-        perf.by_class[cls] += count * n
-    if cpu.collect_mnemonics:
-        for mn, count in plan.mn_counts.items():
-            perf.by_mnemonic[mn] += count * n
-    if span_mask is not None:
-        profiled = sum(
-            cycles * n for i, cycles in enumerate(steady.static)
-            if span_mask[i]
-        )
-        if span_mask[0]:
-            profiled += first_iter_extra
-        profiled += sum(
-            m * plan.mis_pen for i, m in enumerate(ctx.mis) if span_mask[i])
-        cpu.profiled_cycles += profiled
+    cpu.charge(plan.region, plan.timing, 0, plan.body_len, n,
+               steady.total * n + first_iter_extra + mis_cycles,
+               steady.load_use * n + first_iter_extra, mis_cycles, 0)
+    cpu.perf.hwloop_backedges += n - 1
     cpu.timing.pending = plan.pending_after
     hw.count[level] = 0
     cpu.pc = hw.end[level]

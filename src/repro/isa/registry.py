@@ -47,21 +47,21 @@ class Isa:
     name: str
     subsets: Tuple[str, ...]
     specs: List[InstrSpec]
-    by_mnemonic: Dict[str, InstrSpec] = field(default_factory=dict)
+    by_name: Dict[str, InstrSpec] = field(default_factory=dict)
     decoder: Decoder = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.by_mnemonic:
+        if not self.by_name:
             for spec in self.specs:
-                if spec.mnemonic in self.by_mnemonic:
+                if spec.mnemonic in self.by_name:
                     raise IsaError(f"duplicate mnemonic {spec.mnemonic!r} in ISA {self.name}")
-                self.by_mnemonic[spec.mnemonic] = spec
+                self.by_name[spec.mnemonic] = spec
         self.decoder = Decoder(self.specs)
 
     def spec(self, mnemonic: str) -> InstrSpec:
         """Look up a spec by mnemonic, raising :class:`IsaError` if absent."""
         try:
-            return self.by_mnemonic[mnemonic]
+            return self.by_name[mnemonic]
         except KeyError:
             raise IsaError(
                 f"instruction {mnemonic!r} is not part of ISA {self.name!r} "
@@ -69,7 +69,7 @@ class Isa:
             ) from None
 
     def has(self, mnemonic: str) -> bool:
-        return mnemonic in self.by_mnemonic
+        return mnemonic in self.by_name
 
     def __contains__(self, mnemonic: str) -> bool:
         return self.has(mnemonic)

@@ -45,6 +45,7 @@ from ..qnn import ThresholdTable, pack, tree_stride, unpack
 from ..qnn.layers import ConvGeometry
 from ..soc.memmap import L2_SIZE
 from ..target.names import RI5CY, XPULPNN
+from ..trace.metrics import RegionCounters
 from .common import KernelRun, align_up, plan_layout
 from .im2col import (
     emit_im2col_pixel_packed,
@@ -161,11 +162,6 @@ class ConvKernel:
         b = KernelBuilder(isa=config.isa, base=base)
         self._emit(b)
         self.program = b.build()
-        #: Address spans of the requantization code, for cycle attribution
-        #: (paper Fig 6's stacked quantization share).  Derived from the
-        #: builder's "quant" region markers — the same spans the tracing
-        #: layer attributes (see :mod:`repro.trace`).
-        self.quant_spans = list(self.program.regions.get("quant", []))
 
         self.layout = plan_layout(
             self.program.size, self._layout_spec(), base=base,
@@ -450,9 +446,12 @@ class ConvKernel:
 
         cpu.reset()
         cpu.load_program(self.program)
-        if profile_quant:
-            cpu.profile_spans = list(self.quant_spans)
-            cpu.profiled_cycles = 0
+        # Fig 6's quantization share: the cycles the core charges to the
+        # "quant" region (on an attached tracer's counters, if any).
+        own_regions = profile_quant and cpu.region_counters is None
+        if own_regions:
+            cpu.region_counters = RegionCounters()
+        quant_before = _quant_cycles(cpu.region_counters)
         cpu.regs[10] = lay.addr("weights")   # a0
         cpu.regs[11] = lay.addr("im2col0")   # a1
         cpu.regs[12] = lay.addr("im2col1")   # a2
@@ -476,6 +475,15 @@ class ConvKernel:
         output = flat.reshape(g.out_h, g.out_w, g.out_ch)
         detail = {}
         if profile_quant:
-            detail["quant_cycles"] = cpu.profiled_cycles
-            cpu.profile_spans = None
+            detail["quant_cycles"] = (
+                _quant_cycles(cpu.region_counters) - quant_before)
+        if own_regions:
+            cpu.region_counters = None
         return KernelRun(output=output, perf=perf.copy(), layout=lay, detail=detail)
+
+
+def _quant_cycles(regions: Optional[RegionCounters]) -> int:
+    """Cycles *regions* has charged to the "quant" region so far."""
+    if regions is None or "quant" not in regions:
+        return 0
+    return regions["quant"].cycles

@@ -10,14 +10,19 @@ any process, on any machine.  Three digest families feed the key:
 * the job's canonical config JSON — everything else (geometry, bits,
   quantization mode, core count, ...).
 
+:func:`simulator_digest` adds the simulator itself: any edit to its
+source re-keys every result.
+
 :func:`canonical_json` is the single serializer used for all of them:
 sorted keys, compact separators, no NaN/Inf, tuples as lists.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from pathlib import Path
 from typing import Any, Dict
 
 from ..errors import ReproError
@@ -35,6 +40,20 @@ def canonical_json(obj: Any) -> str:
 def digest_of(obj: Any) -> str:
     """Hex SHA-256 of the canonical JSON form of *obj*."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def simulator_digest() -> str:
+    """Hex SHA-256 of every ``*.py`` file of the ``repro`` package, in
+    sorted path order (computed once per process)."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode("utf-8"))
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
 
 
 def array_digest(arr) -> str:

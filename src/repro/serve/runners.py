@@ -7,12 +7,13 @@ conv points) and returns a plain-JSON payload plus any artifact payloads
 (Perfetto timelines).  Nothing here caches or catches — the pool
 isolates failures, the service owns the cache.
 
-:func:`cache_key_parts` derives the three-component content address of
-every cacheable result::
+:func:`cache_key_parts` derives the content address of every cacheable
+result::
 
     {"schema":  CACHE_SCHEMA,
      "spec":    TargetSpec.digest(),      # the machine
      "timing":  TimingParams digest,      # the cycle model
+     "sim":     simulator_digest(),       # the simulator's source
      "program": Program/network digest,   # the code
      "config":  canonical job config}     # everything else
 
@@ -28,7 +29,12 @@ from typing import Any, Dict, Tuple
 
 from ..telemetry import metrics as tmetrics
 from .cache import CACHE_SCHEMA
-from .hashing import canonical_json, digest_of, network_digest
+from .hashing import (
+    canonical_json,
+    digest_of,
+    network_digest,
+    simulator_digest,
+)
 from .jobs import (
     CompileJob,
     ConvPointJob,
@@ -143,9 +149,11 @@ def cache_key_parts(job: Job) -> Dict[str, str]:
     from ..core.timing import TimingParams
 
     # Every runner simulates (or statically costs) with the default
-    # timing parameters, so a timing edit re-keys every result.
+    # timing parameters and this process's simulator source, so an edit
+    # to either re-keys every result.
     return {**_job_key_parts(job),
-            "timing": digest_of(TimingParams().signature())}
+            "timing": digest_of(TimingParams().signature()),
+            "sim": simulator_digest()}
 
 
 def _job_key_parts(job: Job) -> Dict[str, str]:

@@ -10,9 +10,10 @@ Three tracers cover the common uses:
 * :class:`EventTracer` — typed event record (region spans, stalls,
   barriers, DMA) feeding the Perfetto exporter in
   :mod:`repro.trace.perfetto`;
-* :class:`MetricsTracer` — rolls events straight into per-region
-  :class:`~repro.core.perf.PerfCounters` via a
-  :class:`MetricsRegistry` (the ``repro profile`` table).
+* :class:`MetricsTracer` — has the core charge per-region
+  :class:`~repro.core.perf.PerfCounters` into a
+  :class:`RegionCounters` (the ``repro profile`` table); the only one
+  that leaves the block-translation engine on.
 
 The kernel catalog behind ``repro profile --kernel`` lives in
 :mod:`repro.trace.profile`; it is imported lazily (not here) because it
@@ -29,7 +30,7 @@ from .events import (
     RetireEvent,
     StallEvent,
 )
-from .metrics import MetricsRegistry, MetricsTracer
+from .metrics import MetricsTracer, RegionCounters
 from .perfetto import (
     chrome_trace,
     validate_chrome_trace,
@@ -45,8 +46,8 @@ __all__ = [
     "EventTracer",
     "HwloopEvent",
     "MemAccessEvent",
-    "MetricsRegistry",
     "MetricsTracer",
+    "RegionCounters",
     "RegionSpan",
     "RetireEvent",
     "StallEvent",

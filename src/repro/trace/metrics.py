@@ -1,9 +1,11 @@
-"""Per-region metrics: events rolled into :class:`PerfCounters` deltas.
+"""Per-region metrics: one :class:`PerfCounters` per marked region.
 
-:class:`MetricsTracer` accumulates one :class:`~repro.core.perf.PerfCounters`
-per marked region, mirroring :meth:`Cpu.step`'s accounting exactly — so
-the per-region counters sum to the core's own end-of-run counters and the
-usual derived metrics (IPC, stall shares) are available per phase.
+:class:`RegionCounters` holds one :class:`~repro.core.perf.PerfCounters`
+per ``.region`` of the running program.  The core charges it directly
+(:attr:`Cpu.region_counters <repro.core.cpu.Cpu.region_counters>`) with
+the same counts it adds to its own, so the per-region counters sum to the
+core's end-of-run counters and the usual derived metrics (IPC, stall
+shares) are available per phase.  :class:`MetricsTracer` attaches one.
 """
 
 from __future__ import annotations
@@ -14,15 +16,20 @@ from ..core.perf import PerfCounters
 from .tracer import Tracer
 
 
-class MetricsRegistry:
+class RegionCounters:
     """Named :class:`PerfCounters` accumulators (one per region)."""
 
-    def __init__(self) -> None:
+    def __init__(self, default_region: str = "other") -> None:
+        #: The region unmarked code is charged to.
+        self.default_region = default_region
         self._counters: Dict[str, PerfCounters] = {}
         self._order: List[str] = []
 
-    def counters_for(self, name: str) -> PerfCounters:
-        """The accumulator for *name*, created on first use."""
+    def counters_for(self, name: Optional[str]) -> PerfCounters:
+        """The accumulator for *name* (None: the default region),
+        created on first use."""
+        if name is None:
+            name = self.default_region
         if name not in self._counters:
             self._counters[name] = PerfCounters()
             self._order.append(name)
@@ -109,37 +116,22 @@ class MetricsRegistry:
 
 
 class MetricsTracer(Tracer):
-    """Rolls retire events into per-region counters as the run executes."""
+    """Per-region counters for a run, charged by the core itself.
 
-    def __init__(
-        self,
-        program=None,
-        region_map: Optional[Dict[int, str]] = None,
-        default_region: str = "other",
-    ) -> None:
-        self.default_region = default_region
-        if region_map is not None:
-            self._map = dict(region_map)
-        elif program is not None:
-            self._map = program.region_map()
-        else:
-            self._map = {}
-        self.registry = MetricsRegistry()
+    Attaching it (``cpu.tracer = ...`` or ``Cluster.attach_tracer``)
+    hands :attr:`registry` to the core, which charges every retired
+    instruction to the ``.region`` of the program it has loaded —
+    per step on the interpreter, per block or fused loop on the engine,
+    which stays on.  *program* is the program the tracer is built for;
+    attribution follows the loaded program's regions.  Unmarked code
+    lands in *default_region*; barrier waits land in ``barrier``.
+    """
 
-    def on_retire(self, cpu, pc: int, ins, timing) -> None:
-        perf = self.registry.counters_for(
-            self._map.get(pc, self.default_region))
-        unit = cpu._extra_stalls
-        tcdm = cpu._tcdm_stalls
-        # Mirror Cpu.step()'s accounting so regions sum to the core totals.
-        perf.cycles += timing.total + unit + tcdm
-        perf.instructions += 1
-        perf.by_class[ins.spec.timing] += 1
-        perf.stall_load_use += timing.load_use_stall
-        perf.stall_branch += timing.branch_stall
-        perf.stall_jump += timing.jump_stall
-        perf.stall_misaligned += timing.misaligned_stall + unit
-        perf.stall_tcdm_contention += tcdm
+    per_retire = False
+
+    def __init__(self, program=None, default_region: str = "other") -> None:
+        self.program = program
+        self.registry = RegionCounters(default_region)
 
     def on_barrier(self, core: int, arrive: int, release: int) -> None:
         perf = self.registry.counters_for("barrier")

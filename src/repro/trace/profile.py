@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import TraceError
 from ..target.names import RI5CY, XPULPNN
-from .metrics import MetricsRegistry, MetricsTracer
+from .metrics import MetricsTracer, RegionCounters
 from .tracer import EventTracer
 
 _SEED = 2020  # DATE 2020 (matches the benchmark suite's data)
@@ -233,7 +233,7 @@ class KernelProfile:
     description: str
     cycles: int
     instructions: int
-    registry: MetricsRegistry
+    registry: RegionCounters
     cores: int = 1
     detail: Dict[str, int] = field(default_factory=dict)
 

@@ -5,7 +5,9 @@ via :attr:`repro.core.cpu.Cpu.tracer` /
 :meth:`repro.cluster.cluster.Cluster.attach_tracer`.  The protocol is a
 plain base class with no-op hooks, so a tracer only overrides what it
 cares about and the simulator pays a single ``is not None`` check per
-retired instruction when tracing is off.
+retired instruction when tracing is off.  Per-instruction hooks fire
+only for a tracer with :attr:`Tracer.per_retire` set; per-region
+counting needs no hook at all (:attr:`Tracer.registry`).
 
 Hook contract (all cycle values are the core's local clock):
 
@@ -48,6 +50,17 @@ class Tracer:
     #: When false the simulator never calls :meth:`on_mem`, keeping the
     #: load/store fast path free of per-access overhead.
     trace_memory = False
+
+    #: When true the core calls :meth:`on_retire` and :meth:`on_hwloop`,
+    #: which keeps it on the interpreter (the block engine retires
+    #: instructions in batches).  When false only the batch-safe hooks
+    #: (barrier, DMA, halt) fire and the engine stays on.
+    per_retire = True
+
+    #: Per-region counters (:class:`~repro.trace.metrics.RegionCounters`)
+    #: the core charges directly while this tracer is attached; None
+    #: counts no regions.
+    registry = None
 
     def on_retire(self, cpu, pc: int, ins, timing) -> None:
         pass

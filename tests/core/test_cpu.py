@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.errors import SimError
-from repro.trace import Tracer
+from repro.trace import RegionCounters, Tracer
 from tests.conftest import run_asm
 
 
@@ -43,11 +43,6 @@ class TestExecution:
         run_asm(cpu, "nop\nnop\nnop\nebreak")
         assert cpu.perf.instructions == 4
 
-    def test_by_mnemonic_optional(self, cpu):
-        cpu.collect_mnemonics = True
-        run_asm(cpu, "nop\nnop\nebreak")
-        assert cpu.perf.by_mnemonic["addi"] == 2
-
     def test_trace_hook(self, cpu):
         seen = []
 
@@ -62,19 +57,21 @@ class TestExecution:
 
 
 class TestProfiling:
-    def test_profile_spans_count_cycles(self, cpu):
+    def test_region_counts_cycles(self, cpu):
         program = assemble(
-            "addi a0, zero, 1\naddi a1, zero, 2\naddi a2, zero, 3\nebreak",
+            "addi a0, zero, 1\n.region mid\naddi a1, zero, 2\n.endregion\n"
+            "addi a2, zero, 3\nebreak",
             isa=cpu.isa.name,
         )
         cpu.load_program(program)
-        cpu.profile_spans = [(4, 8)]  # second instruction only
+        cpu.region_counters = RegionCounters()
         cpu.run()
-        assert cpu.profiled_cycles == 1
+        assert cpu.region_counters["mid"].cycles == 1  # second instruction
+        assert cpu.region_counters.total().cycles == cpu.perf.cycles
 
     def test_profile_disabled_by_default(self, cpu):
         run_asm(cpu, "nop\nebreak")
-        assert cpu.profiled_cycles == 0
+        assert cpu.region_counters is None
 
 
 class TestMaterialize:

@@ -10,7 +10,6 @@ def _sample(**overrides):
     perf = PerfCounters(cycles=100, instructions=80, stall_load_use=5,
                         stall_branch=3, idle_cycles=10, hwloop_backedges=2)
     perf.by_class.update({"alu": 60, "load": 20})
-    perf.by_mnemonic.update({"addi": 50, "lw": 20, "add": 10})
     for name, value in overrides.items():
         setattr(perf, name, value)
     return perf
@@ -36,7 +35,6 @@ class TestDeltaSince:
         delta = perf.delta_since(perf.copy())
         assert delta.cycles == 0
         assert delta.by_class == Counter()
-        assert delta.by_mnemonic == Counter()
 
     def test_delta_tracks_growth(self):
         before = _sample().copy()
@@ -54,7 +52,6 @@ class TestDeltaSince:
         after = PerfCounters(cycles=200)
         delta = after.delta_since(before)
         assert delta.by_class["alu"] == 0
-        assert delta.by_mnemonic["addi"] == 0
         assert all(v > 0 for v in delta.by_class.values())
 
     def test_idle_cycles_delta(self):
@@ -75,7 +72,6 @@ class TestMerge:
     def test_merge_into_empty_copies_everything(self):
         merged = PerfCounters().merge(_sample())
         assert merged.cycles == 100
-        assert merged.by_mnemonic["addi"] == 50
         assert merged.hwloop_backedges == 2
 
     def test_merge_sums_idle_and_stalls(self):
@@ -108,16 +104,13 @@ class TestMerge:
         assert a.idle_cycles == 14
         assert a.hwloop_backedges == 10
 
-    def test_merges_class_and_mnemonic_counters(self):
+    def test_merges_class_counters(self):
         a = PerfCounters()
         a.by_class.update({"alu": 5, "load": 2})
-        a.by_mnemonic.update({"addi": 5})
         b = PerfCounters()
         b.by_class.update({"alu": 3, "mul": 1})
-        b.by_mnemonic.update({"addi": 1, "p.lw": 2})
         a.merge(b)
         assert a.by_class == {"alu": 8, "load": 2, "mul": 1}
-        assert a.by_mnemonic == {"addi": 6, "p.lw": 2}
 
     def test_merge_preserves_other(self):
         a = _counters(cycles=10)
@@ -145,10 +138,8 @@ class TestCopy:
         perf = _sample()
         clone = perf.copy()
         clone.by_class["alu"] += 1
-        clone.by_mnemonic["addi"] += 1
         clone.cycles += 5
         assert perf.by_class["alu"] == 60
-        assert perf.by_mnemonic["addi"] == 50
         assert perf.cycles == 100
 
     def test_copy_of_empty(self):
@@ -161,7 +152,7 @@ class TestCopy:
         perf = _sample()
         perf.reset()
         assert perf.snapshot() == PerfCounters().snapshot()
-        assert perf.by_mnemonic == Counter()
+        assert perf.by_class == Counter()
 
 
 class TestToDict:
@@ -169,13 +160,11 @@ class TestToDict:
         perf = _counters(cycles=42, instructions=30,
                          stall_tcdm_contention=4, idle_cycles=6)
         perf.by_class.update({"alu": 20, "load": 10})
-        perf.by_mnemonic.update({"addi": 20, "p.lw": 10})
         data = perf.to_dict()
         assert data["cycles"] == 42
         assert data["stall_tcdm_contention"] == 4
         assert data["idle_cycles"] == 6
         assert data["by_class"] == {"alu": 20, "load": 10}
-        assert data["by_mnemonic"] == {"addi": 20, "p.lw": 10}
 
     def test_json_serializable(self):
         perf = _counters(cycles=1, instructions=1)
@@ -183,6 +172,13 @@ class TestToDict:
         round_trip = json.loads(json.dumps(perf.to_dict()))
         assert round_trip["cycles"] == 1
         assert round_trip["by_class"]["alu"] == 1
+
+    def test_from_dict_loads_legacy_payload(self):
+        # Cache entries written before per-mnemonic counting was removed
+        # still carry an (always empty) "by_mnemonic" map.
+        data = _sample().to_dict()
+        data["by_mnemonic"] = {}
+        assert PerfCounters.from_dict(data).to_dict() == _sample().to_dict()
 
     def test_covers_every_scalar_field(self):
         data = PerfCounters().to_dict()

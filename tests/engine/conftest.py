@@ -2,8 +2,8 @@
 
 Every test here compares the block engine against the interpreter on the
 *complete* observable state: halt reason, pc, all 32 registers, the full
-PerfCounters snapshot, profiled cycles, the load-use pipeline residue,
-hardware-loop state, and every byte of data memory.  Parity is the
+PerfCounters snapshot, every per-region counter, the load-use pipeline
+residue, hardware-loop state, and every byte of data memory.  Parity is the
 engine's contract — any divergence is a bug, never a tolerance.
 """
 
@@ -14,6 +14,7 @@ from repro.core import Cpu
 from repro.engine import set_default_mode
 from repro.engine.blocks import GLOBAL_CACHE
 from repro.isa.registers import parse_register
+from repro.trace import RegionCounters
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +34,7 @@ def state_of(cpu):
         "pc": cpu.pc,
         "regs": list(cpu.regs),
         "perf": cpu.perf.snapshot(),
-        "profiled_cycles": cpu.profiled_cycles,
+        "regions": region_state(cpu.region_counters),
         "pending_load": cpu.timing.pending,
         "hwloops": (list(cpu.hwloops.start), list(cpu.hwloops.end),
                     list(cpu.hwloops.count)),
@@ -41,8 +42,16 @@ def state_of(cpu):
     }
 
 
+def region_state(counters):
+    """Every field of every region's counters, in first-charged order."""
+    if counters is None:
+        return None
+    return [(name, counters[name].snapshot()) for name in counters.regions]
+
+
 def _run_one(program, mode, *, isa, regs, mem, max_instructions):
     cpu = Cpu(isa=isa, engine=mode)
+    cpu.region_counters = RegionCounters()
     for addr, data in (mem or {}).items():
         cpu.mem.write_bytes(addr, data)
     cpu.load_program(program)

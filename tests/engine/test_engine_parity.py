@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import Cpu
 from repro.engine import set_default_mode
+from repro.engine.blocks import GLOBAL_CACHE
 from repro.soc.memory import Memory
 
 from tests.conftest import TINY_GEOMETRY
@@ -94,6 +95,22 @@ class TestEligibility:
         cpu.run_program(program)
         assert cpu.engine_stats is None
 
+    def test_metrics_tracer_keeps_engine(self):
+        """Region counting is charged by the core, so a MetricsTracer
+        dispatches exactly as an untraced run does."""
+        from repro.trace import MetricsTracer
+
+        stats = []
+        for tracer in (None, MetricsTracer()):
+            GLOBAL_CACHE.clear()
+            cpu = Cpu(isa="xpulpnn", engine="block")
+            cpu.tracer = tracer
+            _run_tiny_conv(cpu, 4, "xpulpnn", "hw")
+            stats.append(cpu.engine_stats)
+        assert stats[1] is not None
+        assert stats[1]["fused_instructions"] > 0
+        assert stats[0] == stats[1]
+
     def test_contended_memory_forces_interpreter(self):
         """Any Memory subclass (the cluster's contention-modelled TCDM)
         keeps the interpreter: fused execution can't replay per-access
@@ -117,7 +134,8 @@ class TestEligibility:
         assert cpu.engine_stats is None
 
 
-def _conv_states(bits, isa, quant):
+def _run_tiny_conv(cpu, bits, isa, quant):
+    """One tiny-geometry conv layer (quant cycles profiled) on *cpu*."""
     import numpy as np
 
     from repro.kernels import ConvConfig, ConvKernel
@@ -133,20 +151,22 @@ def _conv_states(bits, isa, quant):
     rng = np.random.default_rng(0xB10C)
     w = random_weights((g.out_ch, g.kh, g.kw, g.in_ch), bits, rng)
     x = random_activations((g.in_h, g.in_w, g.in_ch), bits, rng)
+    kernel = ConvKernel(ConvConfig(geometry=g, bits=bits, isa=isa,
+                                   quant=quant))
+    cpu.mem = Memory(max(kernel.layout.end + 4096, L2_SIZE))
+    if quant == "shift":
+        return kernel.run(w, x, shift=7, cpu=cpu, profile_quant=True)
     acc = conv2d_golden(x, w, stride=g.stride, pad=g.pad)
+    return kernel.run(w, x, thresholds=thresholds_from_accumulators(acc, bits),
+                      cpu=cpu, profile_quant=True)
+
+
+def _conv_states(bits, isa, quant):
     states = []
     for mode in ("interp", "block"):
-        kernel = ConvKernel(ConvConfig(
-            geometry=g, bits=bits, isa=isa, quant=quant))
-        size = max(kernel.layout.end + 4096, L2_SIZE)
-        cpu = Cpu(isa=isa, mem=Memory(size), engine=mode)
-        if quant == "shift":
-            out = kernel.run(w, x, shift=7, cpu=cpu)
-        else:
-            out = kernel.run(
-                w, x, thresholds=thresholds_from_accumulators(acc, bits),
-                cpu=cpu)
-        states.append((out.output.tolist(), state_of(cpu)))
+        cpu = Cpu(isa=isa, engine=mode)
+        out = _run_tiny_conv(cpu, bits, isa, quant)
+        states.append((out.output.tolist(), out.detail, state_of(cpu)))
     return states
 
 
@@ -163,37 +183,55 @@ def _conv_states(bits, isa, quant):
 def test_conv_kernel_parity(bits, isa, quant):
     interp, block = _conv_states(bits, isa, quant)
     assert interp[0] == block[0], "kernel output diverged"
-    for key in interp[1]:
-        assert interp[1][key] == block[1][key], f"diverged on {key}"
+    assert interp[1]["quant_cycles"] > 0
+    assert interp[1] == block[1], "quant cycles diverged"
+    for key in interp[2]:
+        assert interp[2][key] == block[2][key], f"diverged on {key}"
 
 
 @pytest.mark.parametrize("kernel", ["conv_4bit", "matmul_4bit"])
-def test_profile_kernel_parity(kernel):
-    """The profiler's full region/stall breakdown is engine-invariant.
+def test_profile_kernel_parity(kernel, monkeypatch):
+    """The profiler's full region/stall breakdown is engine-invariant,
+    and under the block engine the profiled core really runs it.
 
     CI repeats this over the whole catalog (the engine-parity job);
     tier-1 pins one conv and one matmul.
     """
     from repro.trace.profile import profile_kernel
 
+    cores = []
+    real_run = Cpu.run
+
+    def recording_run(self, *args, **kwargs):
+        cores.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cpu, "run", recording_run)
     results = {}
     for mode in ("interp", "block"):
         set_default_mode(mode)
         results[mode] = profile_kernel(kernel).to_dict()
     set_default_mode(None)
     assert results["interp"] == results["block"]
+    stats = cores[-1].engine_stats
+    assert stats is not None, "the profiled kernel fell back to interp"
+    if kernel == "conv_4bit":
+        assert stats["fused_instructions"] > 0
 
 
-def test_profiled_span_attribution_parity():
-    """profile_spans attribution survives fused execution (the span mask
-    splits a fused body's closed-form cycles exactly)."""
+def test_region_attribution_parity():
+    """Region counters survive fused execution: the fused loop body and
+    the code around it land in their regions exactly as interpreted."""
     from repro.asm import assemble
+    from repro.trace import RegionCounters
 
     source = """
         addi s0, zero, 0x40
         lp.setupi 0, 12, end0
+    .region body
         p.lw a0, 4(s0!)
-        add a1, a1, a0
+        pv.sdotsp.b a1, a0, a0
+    .endregion
     end0:
         addi a2, a2, 1
         ebreak
@@ -202,10 +240,10 @@ def test_profiled_span_attribution_parity():
     for mode in ("interp", "block"):
         program = assemble(source, isa="xpulpnn")
         cpu = Cpu(isa="xpulpnn", engine=mode)
-        base = program.base
-        cpu.load_program(program)
-        cpu.profile_spans = [(base + 8, base + 16)]
-        cpu.run()
-        states.append((cpu.profiled_cycles, state_of(cpu)))
-    assert states[0][0] > 0
+        cpu.region_counters = RegionCounters()
+        cpu.run_program(program)
+        states.append(state_of(cpu))
+    assert states[1]["regions"][0][0] == "other"
+    assert dict(states[1]["regions"])["body"]["instructions"] == 24
+    assert cpu.engine_stats["fused_instructions"] == 24
     assert states[0] == states[1]

@@ -7,7 +7,8 @@ instruction bodies, nested lp0/lp1), forward branches, and mid-body
 cycle-identically to the interpreter.  The generator deliberately
 includes instructions the fuser declines (``mul``, misaligned and
 register-offset accesses) so side exits and partial-block flushes get
-the same coverage as the happy path.
+the same coverage as the happy path.  Every program also gets random
+``.region`` boundaries, and the per-region counters must match too.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -105,33 +106,58 @@ def initial_mem(draw):
     return {0x8000: data, 0x9000: data[::-1]}
 
 
-def _assemble_lines(lines):
-    return "\n".join(lines) + "\n"
+#: Random region boundaries: up to four (line index, region name) marks;
+#: from each mark on, lines belong to that region ("" = unmarked).
+region_marks = st.lists(
+    st.tuples(st.integers(0, 12), st.sampled_from(("r0", "r1", ""))),
+    max_size=4)
+
+
+def _assemble_lines(lines, marks=()):
+    """Join *lines*, wrapping the stretches *marks* name in ``.region``."""
+    starts = dict(sorted(marks))
+    out = []
+    current = ""
+    for i, line in enumerate(lines):
+        name = starts.get(i, current)
+        if name != current:
+            if current:
+                out.append(".endregion")
+            if name:
+                out.append(f".region {name}")
+            current = name
+        out.append(line)
+    if current:
+        out.append(".endregion")
+    return "\n".join(out) + "\n"
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=body_ops(max_size=8), regs=initial_regs(), mem=initial_mem())
-def test_straight_line_parity(ops, regs, mem):
-    run_both(_assemble_lines(ops + ["ebreak"]), regs=regs, mem=mem)
+@given(ops=body_ops(max_size=8), regs=initial_regs(), mem=initial_mem(),
+       marks=region_marks)
+def test_straight_line_parity(ops, regs, mem, marks):
+    run_both(_assemble_lines(ops + ["ebreak"], marks), regs=regs, mem=mem)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=body_ops(allow_ebreak=True), count=st.integers(0, 7),
-       level=st.integers(0, 1), regs=initial_regs(), mem=initial_mem())
-def test_single_loop_parity(ops, count, level, regs, mem):
+       level=st.integers(0, 1), regs=initial_regs(), mem=initial_mem(),
+       marks=region_marks)
+def test_single_loop_parity(ops, count, level, regs, mem, marks):
     """One hardware loop: zero-trip, single-op bodies, either level,
     possibly halting mid-body."""
     lines = [f"lp.setupi {level}, {count}, end{level}"]
     lines += ops[:-1]
     lines += [f"end{level}:", ops[-1], "ebreak"]
-    run_both(_assemble_lines(lines), regs=regs, mem=mem)
+    run_both(_assemble_lines(lines, marks), regs=regs, mem=mem)
 
 
 @settings(max_examples=40, deadline=None)
 @given(inner=body_ops(max_size=4), outer_tail=body_ops(max_size=3),
        n_outer=st.integers(0, 4), n_inner=st.integers(0, 5),
-       regs=initial_regs(), mem=initial_mem())
-def test_nested_loop_parity(inner, outer_tail, n_outer, n_inner, regs, mem):
+       regs=initial_regs(), mem=initial_mem(), marks=region_marks)
+def test_nested_loop_parity(inner, outer_tail, n_outer, n_inner, regs, mem,
+                            marks):
     """lp1 wrapping lp0: the inner body fuses, the outer back-edge and
     re-setup run on the fast-block/interpreter tiers."""
     lines = [f"lp.setupi 1, {n_outer}, end1",
@@ -140,13 +166,13 @@ def test_nested_loop_parity(inner, outer_tail, n_outer, n_inner, regs, mem):
     lines += ["end0:", inner[-1]]
     lines += outer_tail[:-1]
     lines += ["end1:", outer_tail[-1], "ebreak"]
-    run_both(_assemble_lines(lines), regs=regs, mem=mem)
+    run_both(_assemble_lines(lines, marks), regs=regs, mem=mem)
 
 
 @settings(max_examples=40, deadline=None)
 @given(ops=body_ops(max_size=6), skip=st.integers(1, 3),
-       regs=initial_regs(), mem=initial_mem())
-def test_branch_parity(ops, skip, regs, mem):
+       regs=initial_regs(), mem=initial_mem(), marks=region_marks)
+def test_branch_parity(ops, skip, regs, mem, marks):
     """A forward branch mid-program: terminators stay interpreter steps
     and block re-entry lands on the branch target."""
     cut = min(skip, len(ops))
@@ -155,17 +181,18 @@ def test_branch_parity(ops, skip, regs, mem):
     label_at = min(cut, len(lines) - 1) + 1
     lines.insert(label_at, "skip:")
     lines.append("ebreak")
-    run_both(_assemble_lines(lines), regs=regs, mem=mem)
+    run_both(_assemble_lines(lines, marks), regs=regs, mem=mem)
 
 
 @settings(max_examples=25, deadline=None)
 @given(ops=body_ops(min_size=2, max_size=5), count=st.integers(2, 6),
-       budget=st.integers(3, 40), regs=initial_regs(), mem=initial_mem())
-def test_budget_parity(ops, count, budget, regs, mem):
+       budget=st.integers(3, 40), regs=initial_regs(), mem=initial_mem(),
+       marks=region_marks)
+def test_budget_parity(ops, count, budget, regs, mem, marks):
     """A max_instructions ceiling that may land mid-loop: both engines
     raise the identical SimError (or both halt) at the same state."""
     lines = [f"lp.setupi 0, {count}, end0"]
     lines += ops[:-1]
     lines += ["end0:", ops[-1], "ebreak"]
-    run_both(_assemble_lines(lines), regs=regs, mem=mem,
+    run_both(_assemble_lines(lines, marks), regs=regs, mem=mem,
              max_instructions=budget)

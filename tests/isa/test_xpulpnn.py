@@ -63,7 +63,7 @@ class TestIsaBoundaries:
     def test_extended_is_superset(self):
         ri5cy = build_isa("ri5cy")
         ext = build_isa("xpulpnn")
-        for mnemonic in ri5cy.by_mnemonic:
+        for mnemonic in ri5cy.by_name:
             assert ext.has(mnemonic)
 
 

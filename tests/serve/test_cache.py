@@ -2,8 +2,14 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core.timing import TimingParams
 from repro.eval import workloads
@@ -288,3 +294,50 @@ class TestServiceIntegration:
         assert report.cached_count == 0
         assert report.stats["cache"] == {"hits": 0, "misses": 0,
                                          "evictions": 0, "pruned": 0}
+
+
+#: One tiny ConvPointJob into the cache dir given as argv[1]; prints the
+#: served instruction count and whether it came from the cache.
+_CONVPOINT_SCRIPT = """
+import json, sys
+from repro.serve import ConvPointJob, ResultCache, SimulationService
+service = SimulationService(cache=ResultCache(sys.argv[1]))
+report = service.run([ConvPointJob(bits=4, geometry=(6, 6, 16, 8, 3, 3, 1, 1))])
+assert report.ok, report
+print(json.dumps({"cached": report.cached_count,
+                  "instructions": report.results[0].payload["instructions"]}))
+"""
+
+
+def test_simulator_source_edit_misses(tmp_path):
+    """A result cached by one simulator build is never served to a
+    build whose source differs, even when no program, spec or timing
+    parameter changed."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(repro.__file__).parent, src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(src), "REPRO_ENGINE": "interp"}
+    env.pop("REPRO_CACHE_DIR", None)
+    env.pop("REPRO_FULL", None)
+
+    def serve():
+        done = subprocess.run(
+            [sys.executable, "-c", _CONVPOINT_SCRIPT, str(tmp_path / "c")],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    first = serve()
+    assert first["cached"] == 0
+    assert serve() == {**first, "cached": 1}
+
+    # Retire every interpreted instruction twice: a semantic edit that
+    # touches no key part other than the simulator source.
+    cpu_py = src / "repro" / "core" / "cpu.py"
+    text = cpu_py.read_text()
+    assert "perf.instructions += 1" in text
+    cpu_py.write_text(text.replace("perf.instructions += 1",
+                                   "perf.instructions += 2", 1))
+    edited = serve()
+    assert edited["cached"] == 0
+    assert edited["instructions"] == 2 * first["instructions"]

@@ -151,8 +151,8 @@ class TestCacheKeyParts:
     def test_parts_name_all_three_digests(self):
         parts = cache_key_parts(ScalingJob(bits=4, cores=1, out_ch=32,
                                            reduction=64))
-        assert set(parts) == {"schema", "kind", "spec", "timing", "program",
-                              "config"}
+        assert set(parts) == {"schema", "kind", "spec", "timing", "sim",
+                              "program", "config"}
         assert parts["kind"] == "scaling"
 
     def test_key_tracks_target_spec(self):

@@ -2,7 +2,7 @@
 
 from repro.asm import assemble
 from repro.core import Cpu
-from repro.trace import MetricsRegistry, MetricsTracer
+from repro.trace import MetricsTracer, RegionCounters
 
 SOURCE = """
 .region fill
@@ -58,8 +58,10 @@ class TestMetricsTracer:
 
 
 class TestMetricsRegistry:
+    """RegionCounters, the registry behind ``MetricsTracer.registry``."""
+
     def test_share_and_rows_ordering(self):
-        reg = MetricsRegistry()
+        reg = RegionCounters()
         reg.counters_for("hot").cycles = 90
         reg.counters_for("cold").cycles = 10
         assert reg.share("hot") == 0.9
@@ -67,7 +69,7 @@ class TestMetricsRegistry:
         assert [name for name, _, _ in reg.rows()] == ["hot", "cold"]
 
     def test_empty_registry(self):
-        reg = MetricsRegistry()
+        reg = RegionCounters()
         assert reg.regions == []
         assert reg.total().cycles == 0
         assert reg.share("anything") == 0.0
