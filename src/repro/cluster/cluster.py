@@ -1,10 +1,17 @@
 """The PULP cluster: N RI5CY+XpulpNN cores on a shared banked L1.
 
 Execution is a discrete-event interleaving of the per-core ISS models:
-each core keeps its own cycle clock (its ``perf.cycles``), and the
-scheduler always steps the runnable core with the smallest clock, so
-shared-resource arbitration (TCDM banks, the DMA port) sees accesses in
-global time order.  Three cluster-only effects feed back into the clocks:
+each core keeps its own cycle clock (its ``perf.cycles``), and every
+instruction that touches data memory (:attr:`InstrSpec.touches_memory`)
+is an *event* executed in global ``(start cycle, hart id)`` order, so
+shared-resource arbitration (TCDM banks, the DMA port, the event unit)
+sees accesses in global time order.  Between its events a hart runs
+ahead through core-local instructions: they read and write nothing
+another hart can see.  Under ``engine="interp"`` every instruction is
+an event, the step-for-step reference schedule.  Under ``engine="block"``
+a hart entering a store-free fusable hardware loop becomes a *stream*
+(:mod:`repro.engine.stream`) whose loads are the only events.  Three
+cluster-only effects feed back into the clocks:
 
 * **TCDM bank conflicts** — a load/store to a bank granted to an earlier
   access stalls until the bank frees (``stall_tcdm_contention``);
@@ -22,6 +29,7 @@ also backs host-side tensor staging and the DMA's functional copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush, heappushpop
 from typing import Dict, List, Optional
 
 from ..core.cpu import Cpu
@@ -136,12 +144,25 @@ class CoreMemPort:
     # -- timed accesses (instruction semantics) -------------------------
 
     def _now(self) -> int:
-        return self.cpu.perf.cycles
+        """The access's cycle, checked against the cluster's event order:
+        an access keyed before the last one granted is a scheduler bug,
+        never something to arbitrate."""
+        now = self.cpu.perf.cycles
+        cl = self._cluster
+        key = now * cl.config.num_cores + self._core_id
+        order = cl._order
+        if key < order[0]:
+            raise SimError(
+                f"core {self._core_id}: memory access at cycle {now} "
+                f"arrived out of event order")
+        order[0] = key
+        return now
 
     def load(self, addr: int, size: int, signed: bool = False) -> int:
         cl = self._cluster
+        now = self._now()
         if cl.tcdm.contains(addr, size):
-            stall, _ = cl.tcdm.access(addr, self._now())
+            stall, _ = cl.tcdm.access(addr, now)
             if stall:
                 self.cpu.add_tcdm_stall(stall)
             if cl.access_trace is not None:
@@ -150,17 +171,18 @@ class CoreMemPort:
                     cl.event_unit.barriers_completed, pc=self.cpu.pc)
             if cl.mem_tracer is not None:
                 cl.mem_tracer.on_mem(
-                    self._core_id, self._now(), addr, size, "r",
+                    self._core_id, now, addr, size, "r",
                     cl.tcdm.bank_of(addr), stall)
             return cl.tcdm.mem.load(addr, size, signed)
         if CLUSTER_PERIPH_BASE <= addr < CLUSTER_PERIPH_BASE + CLUSTER_PERIPH_SIZE:
-            return self._periph_load(addr)
+            return self._periph_load(addr, now)
         return cl.raw.load(addr, size, signed)
 
     def store(self, addr: int, size: int, value: int) -> None:
         cl = self._cluster
+        now = self._now()
         if cl.tcdm.contains(addr, size):
-            stall, _ = cl.tcdm.access(addr, self._now())
+            stall, _ = cl.tcdm.access(addr, now)
             if stall:
                 self.cpu.add_tcdm_stall(stall)
             if cl.access_trace is not None:
@@ -169,16 +191,16 @@ class CoreMemPort:
                     cl.event_unit.barriers_completed, pc=self.cpu.pc)
             if cl.mem_tracer is not None:
                 cl.mem_tracer.on_mem(
-                    self._core_id, self._now(), addr, size, "w",
+                    self._core_id, now, addr, size, "w",
                     cl.tcdm.bank_of(addr), stall)
             cl.tcdm.mem.store(addr, size, value)
             return
         if CLUSTER_PERIPH_BASE <= addr < CLUSTER_PERIPH_BASE + CLUSTER_PERIPH_SIZE:
-            self._periph_store(addr, value)
+            self._periph_store(addr, value, now)
             return
         cl.raw.store(addr, size, value)
 
-    def _periph_load(self, addr: int) -> int:
+    def _periph_load(self, addr: int, now: int) -> int:
         cl = self._cluster
         if addr == EU_NUM_CORES:
             return cl.config.num_cores
@@ -188,13 +210,13 @@ class CoreMemPort:
         if addr == EU_BARRIER_COUNT:
             return cl.event_unit.barriers_completed
         if DMA_BASE <= addr < DMA_BASE + 0x20:
-            return cl.dma.reg_load(addr - DMA_BASE, self._now())
+            return cl.dma.reg_load(addr - DMA_BASE, now)
         return 0
 
-    def _periph_store(self, addr: int, value: int) -> None:
+    def _periph_store(self, addr: int, value: int, now: int) -> None:
         cl = self._cluster
         if DMA_BASE <= addr < DMA_BASE + 0x20:
-            cl.dma.reg_store(addr - DMA_BASE, value & 0xFFFF_FFFF, self._now())
+            cl.dma.reg_store(addr - DMA_BASE, value & 0xFFFF_FFFF, now)
 
     # -- untimed bulk helpers (harness side) -----------------------------
 
@@ -234,7 +256,11 @@ class ClusterRun:
     tcdm_conflict_cycles: int
     dma_cycles: int = 0
     dma_bytes: int = 0
-    detail: Dict[str, int] = field(default_factory=dict)
+    #: Block-engine coverage under ``engine="block"`` (empty otherwise):
+    #: :meth:`EngineStats.as_dict <repro.engine.engine.EngineStats.as_dict>`
+    #: of the run — ``interp_steps``, ``stream_dispatches``,
+    #: ``stream_loads``, ``stream_instructions``, ``side_exits`` by reason.
+    detail: Dict[str, object] = field(default_factory=dict)
 
     @property
     def cycles(self) -> int:
@@ -275,6 +301,10 @@ class Cluster:
         #: only when the tracer wants per-access events.
         self.tracer = None
         self.mem_tracer = None
+        #: ``[key]``: event key ``cycle * num_cores + hart`` of the last
+        #: timed access (streams advance it too); :class:`CoreMemPort`
+        #: refuses an access keyed before it.
+        self._order = [-1]
         self.cores: List[Cpu] = []
         for core_id in range(cfg.num_cores):
             port = CoreMemPort(self, core_id)
@@ -338,53 +368,126 @@ class Cluster:
     ) -> ClusterRun:
         """Step all cores to completion (every core halts).
 
+        Events — instructions that touch data memory, or every
+        instruction under ``engine="interp"`` or a per-retire tracer —
+        run in ``(start cycle, hart id)`` order: a hart keeps running
+        while its next event precedes every other hart's clock.  Since
+        every instruction costs at least one cycle, no hart's later event
+        can precede one already run, so the order is exact.
+
         *max_instructions* bounds the total retired across the cluster.
         Raises :class:`SimError` on barrier deadlock (all live cores
         parked with the barrier incomplete) or budget exhaustion.
         """
         cores = self.cores
         eu = self.event_unit
+        nc = len(cores)
         if entry is not None:
             for cpu in cores:
                 cpu.pc = entry
+        self._order[0] = -1
+        per_retire = any(cpu._retire_tracer is not None for cpu in cores)
+        block = all(cpu.engine == "block" for cpu in cores)
+        every_step = per_retire or not block
+        if block:
+            from ..engine.engine import BlockEngine, EngineStats
+
+            stats = EngineStats()
+            engines = [BlockEngine(cpu, stats) for cpu in cores]
+            traced = (per_retire or self.access_trace is not None
+                      or self.mem_tracer is not None)
+        # Addresses of each hart's event instructions.
+        events = [
+            None if every_step else frozenset(
+                addr for addr, ins in cpu._imem.items()
+                if ins.spec.touches_memory)
+            for cpu in cores
+        ]
+        streams: List = [None] * nc
+        heap = [cpu.perf.cycles * nc + h for h, cpu in enumerate(cores)
+                if cpu.halted is None]
+        heapify(heap)
         parked: set = set()
         executed = 0
+        streamed = 0
+        no_horizon = 1 << 62
 
-        while True:
-            runnable = [
-                cpu for i, cpu in enumerate(cores)
-                if cpu.halted is None and i not in parked
-            ]
-            if not runnable:
-                if all(cpu.halted is not None for cpu in cores):
-                    break
+        try:
+            key = heappop(heap) if heap else -1
+            while key >= 0:
+                h = key % nc
+                horizon = heap[0] if heap else no_horizon
+                stream = streams[h]
+                if stream is not None:
+                    nxt = stream.advance(horizon)
+                    if nxt is not None:
+                        key = heappushpop(heap, nxt)
+                        continue
+                    streams[h] = None
+                    stream.finish()
+                cpu = cores[h]
+                perf = cpu.perf
+                step = cpu.step
+                hw = cpu.hwloops
+                own = events[h]
+                nxt = None
+                while True:
+                    event = own is None or cpu.pc in own
+                    if event:
+                        key = perf.cycles * nc + h
+                        if key > horizon:
+                            nxt = key
+                            break
+                    step()
+                    executed += 1
+                    if executed > max_instructions:
+                        raise SimError(
+                            f"cluster exceeded {max_instructions} "
+                            f"instructions (likely a spin without "
+                            f"progress)")
+                    if event:
+                        arrived = eu.take_pending_arrival()
+                        if arrived is not None:
+                            self._arrive(arrived, parked, heap)
+                            break
+                    if cpu._halted is not None:
+                        break
+                    if not block:
+                        continue
+                    active = hw.count
+                    if active[0] > 0 and cpu.pc == hw.start[0]:
+                        level = 0
+                    elif active[1] > 0 and cpu.pc == hw.start[1]:
+                        level = 1
+                    else:
+                        continue
+                    stream = self._stream(engines[h], level,
+                                          max_instructions - executed,
+                                          traced)
+                    if stream is None:
+                        continue
+                    executed += stream.instructions
+                    streamed += stream.instructions
+                    nxt = stream.advance(horizon)
+                    if nxt is not None:
+                        streams[h] = stream
+                        break
+                    stream.finish()
+                if nxt is not None:
+                    key = heappushpop(heap, nxt)
+                else:
+                    key = heappop(heap) if heap else -1
+
+            if not all(cpu.halted is not None for cpu in cores):
                 raise SimError(
                     f"cluster deadlock: cores {sorted(parked)} parked at a "
                     f"barrier that can no longer complete"
                 )
-            cpu = min(runnable, key=lambda c: c.perf.cycles)
-            cpu.step()
-            executed += 1
-            if executed > max_instructions:
-                raise SimError(
-                    f"cluster exceeded {max_instructions} instructions "
-                    f"(likely a spin without progress)"
-                )
-            arrived = eu.take_pending_arrival()
-            if arrived is not None:
-                complete = eu.arrive(arrived, cores[arrived].perf.cycles)
-                parked.add(arrived)
-                if complete:
-                    release = eu.release_time
-                    released = eu.release()
-                    for core_id, when in released.items():
-                        perf = cores[core_id].perf
-                        perf.idle_cycles += release - when
-                        perf.cycles = release
-                    if self.tracer is not None:
-                        for core_id, when in sorted(released.items()):
-                            self.tracer.on_barrier(core_id, when, release)
-                    parked.clear()
+        finally:
+            if block:
+                stats.interp_steps = executed - streamed
+                stats.stream_instructions = streamed
+                stats.publish()
 
         if self.tracer is not None:
             for cpu in cores:
@@ -398,7 +501,48 @@ class Cluster:
             tcdm_conflict_cycles=self.tcdm.conflict_cycles,
             dma_cycles=self.dma.total_cycles,
             dma_bytes=self.dma.bytes_moved,
+            detail=stats.as_dict() if block else {},
         )
+
+    def _stream(self, engine, level: int, budget: int, traced: bool):
+        """A stream for the remaining iterations of loop *level*, which
+        *engine*'s hart is entering, or None (side exit recorded)."""
+        from ..engine.stream import open_stream
+
+        plan = engine.loop_plan(level, budget)
+        if plan is None:
+            return None
+        cpu = engine.cpu
+        stats = engine.stats
+        stream = open_stream(cpu, plan, level, self.tcdm, cpu.hart_id,
+                             len(self.cores), self._order, traced)
+        if isinstance(stream, str):
+            stats.side_exit(stream)
+            return None
+        stats.stream_dispatches += 1
+        stats.stream_loads += stream.loads
+        return stream
+
+    def _arrive(self, core_id: int, parked: set, heap: list) -> None:
+        """Park *core_id* at the barrier; the last arrival releases every
+        waiter at the release time and returns them to *heap*."""
+        cores = self.cores
+        eu = self.event_unit
+        parked.add(core_id)
+        if not eu.arrive(core_id, cores[core_id].perf.cycles):
+            return
+        release = eu.release_time
+        released = eu.release()
+        nc = len(cores)
+        for waiter, when in released.items():
+            perf = cores[waiter].perf
+            perf.idle_cycles += release - when
+            perf.cycles = release
+            heappush(heap, release * nc + waiter)
+        if self.tracer is not None:
+            for waiter, when in sorted(released.items()):
+                self.tracer.on_barrier(waiter, when, release)
+        parked.clear()
 
     def run_program(self, program, **kwargs) -> ClusterRun:
         """Convenience: reset, load on all cores, run to completion."""

@@ -71,9 +71,10 @@ class Tcdm:
         granted to an earlier request, the access waits until the bank
         frees.  The caller charges *stall_cycles* to the requesting core.
         Accesses must be presented in non-decreasing *when* order per bank
-        (the cluster's min-clock scheduler guarantees this globally).
+        (the cluster's event-ordered scheduler guarantees this globally).
         """
-        bank = self.bank_of(addr)
+        # bank_of, inlined: every TCDM access of a cluster run lands here.
+        bank = ((addr - self.mem.base) >> 2) % self.num_banks
         self.accesses += 1
         busy = self._busy_until[bank]
         stall = busy - when if busy > when else 0

@@ -14,12 +14,16 @@ hardware-loop bodies executed millions of times — in two tiers:
   :class:`~repro.isa.instruction.InstrSpec`) execute *all* iterations
   at once with numpy array semantics and closed-form cycle accounting.
 
-Anything the engine cannot prove — traps, barriers, cluster TCDM
-arbitration, CSR reads of live counters, attached tracers, quantization
-FSM stalls — side-exits back to the interpreter, which remains the
-reference semantics.  Parity is the contract: identical register and
-memory state and identical :class:`~repro.core.perf.PerfCounters` for
-any program.  See ``docs/ENGINE.md``.
+Cluster harts add a third form, **streams**
+(:mod:`repro.engine.stream`): a store-free fused loop whose loads the
+cluster scheduler arbitrates one by one at their exact cycles.
+
+Anything the engine cannot prove — traps, barriers, CSR reads of live
+counters, attached tracers, quantization FSM stalls — side-exits back to
+the interpreter, which remains the reference semantics.  Parity is the
+contract: identical register and memory state and identical
+:class:`~repro.core.perf.PerfCounters` for any program.  See
+``docs/ENGINE.md``.
 """
 
 from .config import (

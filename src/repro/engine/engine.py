@@ -19,8 +19,10 @@ granularity:
    execute on the unmodified interpreter ``step()``.
 
 The engine is only engaged when nothing can observe intermediate state:
-no per-retire tracer attached and a plain (uncontended) memory — cluster
-cores with TCDM ports keep the interpreter.  Per-region counters need no
+no per-retire tracer attached and a plain (uncontended) memory.  Cluster
+harts are driven by :meth:`~repro.cluster.Cluster.run`, which takes
+plans from :meth:`BlockEngine.loop_plan` for its streams
+(:mod:`repro.engine.stream`).  Per-region counters need no
 such hook: every segment and fused dispatch charges its block's region
 through :meth:`~repro.core.cpu.Cpu.charge`.  Statistics are plain
 integers during the run and are published to the telemetry registry
@@ -43,7 +45,8 @@ class EngineStats:
 
     __slots__ = ("blocks_translated", "block_hits", "interp_steps",
                  "fused_dispatches", "fused_iterations",
-                 "fused_instructions", "side_exits")
+                 "fused_instructions", "stream_dispatches", "stream_loads",
+                 "stream_instructions", "side_exits")
 
     def __init__(self) -> None:
         self.blocks_translated = 0
@@ -52,6 +55,11 @@ class EngineStats:
         self.fused_dispatches = 0
         self.fused_iterations = 0
         self.fused_instructions = 0
+        #: Cluster streams (:mod:`repro.engine.stream`): dispatches, the
+        #: loads they arbitrated, and the instructions they retired.
+        self.stream_dispatches = 0
+        self.stream_loads = 0
+        self.stream_instructions = 0
         self.side_exits: Dict[str, int] = {}
 
     def side_exit(self, reason: str) -> None:
@@ -65,6 +73,9 @@ class EngineStats:
             "fused_dispatches": self.fused_dispatches,
             "fused_iterations": self.fused_iterations,
             "fused_instructions": self.fused_instructions,
+            "stream_dispatches": self.stream_dispatches,
+            "stream_loads": self.stream_loads,
+            "stream_instructions": self.stream_instructions,
             "side_exits": dict(sorted(self.side_exits.items())),
         }
 
@@ -80,6 +91,9 @@ class EngineStats:
             self.fused_dispatches)
         tmetrics.counter("engine.fused_iterations").inc(
             self.fused_iterations)
+        tmetrics.counter("engine.stream_dispatches").inc(
+            self.stream_dispatches)
+        tmetrics.counter("engine.stream_loads").inc(self.stream_loads)
         for reason, count in self.side_exits.items():
             tmetrics.counter("engine.side_exits", reason=reason).inc(count)
 
@@ -87,9 +101,9 @@ class EngineStats:
 class BlockEngine:
     """Block-granular dispatcher bound to one :class:`Cpu`."""
 
-    def __init__(self, cpu) -> None:
+    def __init__(self, cpu, stats: Optional[EngineStats] = None) -> None:
         self.cpu = cpu
-        self.stats = EngineStats()
+        self.stats = stats if stats is not None else EngineStats()
         # Fallback block map for load_from_memory images (no digest).
         self._local_map: Dict[int, Optional[Block]] = {}
         self._local_version = -1
@@ -121,8 +135,6 @@ class BlockEngine:
         count = hw.count
         start = hw.start
         step = cpu.step
-        imem = cpu._imem
-        params = cpu.timing.params
         executed = 0
         try:
             while cpu._halted is None:
@@ -132,14 +144,7 @@ class BlockEngine:
                         f"instructions (pc={cpu.pc:#010x})"
                     )
                 pc = cpu.pc
-                block = blocks.get(pc, _MISSING)
-                if block is _MISSING:
-                    block = discover(imem, pc, params, cpu.region_map())
-                    blocks[pc] = block
-                    if block is not None:
-                        stats.blocks_translated += 1
-                elif block is not None:
-                    stats.block_hits += 1
+                block = self._lookup(blocks, pc)
                 if block is None:
                     # Terminator or fetch fault: one interpreter step.
                     step()
@@ -163,25 +168,47 @@ class BlockEngine:
 
     # ------------------------------------------------------------------
 
-    def _try_fused(self, block: Block, level: int, budget: int) -> int:
-        """Dispatch all remaining iterations of loop *level* as one fused
-        superinstruction; returns instructions retired (0 on side exit)."""
-        from .fusion import FUSE_MIN_ITERS, Unfusable, compile_plan, \
-            execute_plan
+    def _lookup(self, blocks: Dict[int, Optional[Block]],
+                pc: int) -> Optional[Block]:
+        """The translated block at *pc* (discovered and cached on a
+        miss), or None for an interpreter-only address."""
+        block = blocks.get(pc, _MISSING)
+        if block is _MISSING:
+            cpu = self.cpu
+            block = discover(cpu._imem, pc, cpu.timing.params,
+                             cpu.region_map())
+            blocks[pc] = block
+            if block is not None:
+                self.stats.blocks_translated += 1
+        elif block is not None:
+            self.stats.block_hits += 1
+        return block
+
+    def loop_plan(self, level: int, budget: int):
+        """The fused plan for all remaining iterations of the active loop
+        *level*, whose body starts at ``cpu.pc``, or None (side exit
+        recorded).  Cluster streams dispatch from here too."""
+        block = self._lookup(self._block_map(), self.cpu.pc)
+        if block is None:
+            return None
+        return self._fused_plan(block, level, budget)
+
+    def _fused_plan(self, block: Block, level: int, budget: int):
+        from .fusion import FUSE_MIN_ITERS, Unfusable, compile_plan
 
         cpu = self.cpu
         hw = cpu.hwloops
         stats = self.stats
         n = hw.count[level]
         if n < FUSE_MIN_ITERS:
-            return 0
+            return None
         end = hw.end[level]
         j = block.ft_index.get(end, -1)
         if j < 0:
             # The loop body is not a prefix of this block (the end
             # address never falls through from one of our instructions).
             stats.side_exit("loop-shape")
-            return 0
+            return None
         other = 1 - level
         if hw.count[other] > 0:
             jo = block.ft_index.get(hw.end[other], -1)
@@ -190,11 +217,11 @@ class BlockEngine:
                 # level 1 sharing the end address, *instead of* — level 0
                 # has redirect priority) this loop's body.
                 stats.side_exit("nested-loop-end")
-                return 0
+                return None
         body_len = j + 1
         if n * body_len > budget:
             stats.side_exit("budget")
-            return 0
+            return None
         plan = block.fused.get(end)
         if plan is None:
             try:
@@ -204,9 +231,21 @@ class BlockEngine:
             block.fused[end] = plan
         if isinstance(plan, str):
             stats.side_exit(plan)
+            return None
+        return plan
+
+    def _try_fused(self, block: Block, level: int, budget: int) -> int:
+        """Dispatch all remaining iterations of loop *level* as one fused
+        superinstruction; returns instructions retired (0 on side exit)."""
+        from .fusion import Unfusable, execute_plan
+
+        plan = self._fused_plan(block, level, budget)
+        if plan is None:
             return 0
+        stats = self.stats
+        n = self.cpu.hwloops.count[level]
         try:
-            retired = execute_plan(cpu, plan, level)
+            retired = execute_plan(self.cpu, plan, level)
         except Unfusable as declined:
             stats.side_exit(declined.reason)
             return 0

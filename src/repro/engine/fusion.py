@@ -174,19 +174,27 @@ class _Ctx:
     ``stores`` until every handler has succeeded.
     """
 
-    __slots__ = ("n", "mem", "data", "data16", "data32", "env", "affine",
-                 "contribs", "mis", "stores", "load_ranges",
+    __slots__ = ("n", "mem", "data", "data16", "data32", "loaded", "env",
+                 "affine", "contribs", "mis", "stores", "load_ranges",
                  "store_ranges")
 
-    def __init__(self, n: int, mem, body_len: int) -> None:
+    def __init__(self, n: int, mem, body_len: int,
+                 loaded: Optional[Dict[int, np.ndarray]] = None) -> None:
         self.n = n
         self.mem = mem
-        buf = mem._data
-        self.data = np.frombuffer(buf, dtype=np.uint8)
-        self.data16 = np.frombuffer(buf, dtype=np.uint16,
-                                    count=len(buf) // 2)
-        self.data32 = np.frombuffer(buf, dtype=np.uint32,
-                                    count=len(buf) // 4)
+        #: Body index -> the ``(N,)`` values each load returned, when the
+        #: loads already ran elsewhere (a cluster stream); None reads
+        #: them from *mem*.
+        self.loaded = loaded
+        if loaded is None:
+            buf = mem._data
+            self.data = np.frombuffer(buf, dtype=np.uint8)
+            self.data16 = np.frombuffer(buf, dtype=np.uint16,
+                                        count=len(buf) // 2)
+            self.data32 = np.frombuffer(buf, dtype=np.uint32,
+                                        count=len(buf) // 4)
+        else:
+            self.data = self.data16 = self.data32 = None
         self.env: Dict[int, object] = {}
         self.affine: Dict[int, Tuple[int, int]] = {}
         self.contribs: Dict[int, object] = {}
@@ -244,6 +252,11 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
 
     if rs1_induction:
         def step(ctx: _Ctx) -> None:
+            if ctx.loaded is not None:
+                ctx.env[rd] = ctx.loaded[index]
+                if post:
+                    ctx.bump(rs1, imm)
+                return
             n = ctx.n
             base, delta = ctx.affine[rs1]
             addr0 = base + imm_off
@@ -273,6 +286,11 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
     else:
         def step(ctx: _Ctx) -> None:
             base = ctx.get(rs1)
+            if ctx.loaded is not None:
+                ctx.env[rd] = ctx.loaded[index]
+                if post:
+                    ctx.env[rs1] = (base + imm) & MASK32
+                return
             addr = base if post else (base + imm) & MASK32
             if isinstance(addr, np.ndarray):
                 lo, hi = int(addr.min()), int(addr.max())
@@ -509,7 +527,7 @@ class FusedPlan:
     __slots__ = (
         "body_len", "handlers", "invariants", "inductions", "acc_regs",
         "committed_regs", "timing", "steady", "region",
-        "pending_after", "mis_pen",
+        "pending_after", "mis_pen", "stream",
     )
 
     def __init__(self, block, body_len: int, params) -> None:
@@ -531,6 +549,36 @@ class FusedPlan:
         self.steady = block.timing.loop(body_len)
         self.region = block.region
         self.pending_after = block.timing.instrs[body_len - 1].pending
+        self.stream = _stream_loads(instrs, classes, deltas)
+
+
+def _stream_loads(instrs, classes, deltas):
+    """The body's loads as ``(index, rs1, offset, delta, size, signed)``:
+    iteration ``i`` of load *index* reads ``rs1 + offset + delta*i``
+    (*rs1* at loop entry).  A cluster stream
+    (:mod:`repro.engine.stream`) needs every address known before the
+    loop runs and no stores; otherwise this is the side-exit reason."""
+    bumps = {reg: 0 for reg, kind in classes.items() if kind == "induction"}
+    loads = []
+    for index, ins in enumerate(instrs):
+        tag = ins.spec.fusion
+        kind = tag[0]
+        if kind in ("store_post", "store_imm"):
+            return "stream-store"
+        if kind in ("load_post", "load_imm"):
+            role = classes.get(ins.rs1)
+            if role not in ("induction", "invariant"):
+                return "stream-address"
+            offset = bumps.get(ins.rs1, 0)
+            if kind == "load_imm":
+                offset += ins.imm
+            loads.append((index, ins.rs1, offset, deltas.get(ins.rs1, 0),
+                          tag[1], tag[2]))
+        for access in _accesses(ins):
+            if (access[0] == "w" and isinstance(access[2], tuple)
+                    and access[1] in bumps):
+                bumps[access[1]] += access[2][1]
+    return tuple(loads)
 
 
 def compile_plan(block, body_len: int, params) -> FusedPlan:
@@ -539,14 +587,20 @@ def compile_plan(block, body_len: int, params) -> FusedPlan:
     return FusedPlan(block, body_len, params)
 
 
-def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
+def execute_plan(cpu, plan: FusedPlan, level: int,
+                 loaded: Optional[Dict[int, np.ndarray]] = None,
+                 tcdm: int = 0) -> int:
     """Run all remaining iterations of the active loop *level* under
     *plan*; returns instructions retired.  Raises :class:`Unfusable`
-    (with no state mutated) when a dynamic precondition fails."""
+    (with no state mutated) when a dynamic precondition fails.
+
+    *loaded* supplies every load's values instead of reading memory
+    (body index -> ``(N,)`` array) and *tcdm* the bank-conflict stall
+    cycles those loads paid: a cluster stream's arbitrated loads."""
     hw = cpu.hwloops
     n = hw.count[level]
     regs = cpu.regs
-    ctx = _Ctx(n, cpu.mem, plan.body_len)
+    ctx = _Ctx(n, cpu.mem, plan.body_len, loaded)
     env = ctx.env
     for reg in plan.invariants:
         env[reg] = regs[reg]
@@ -603,8 +657,8 @@ def execute_plan(cpu, plan: FusedPlan, level: int) -> int:
     mis_cycles = sum(ctx.mis) * plan.mis_pen
     first_iter_extra = entry_lu - steady.lu0
     cpu.charge(plan.region, plan.timing, 0, plan.body_len, n,
-               steady.total * n + first_iter_extra + mis_cycles,
-               steady.load_use * n + first_iter_extra, mis_cycles, 0)
+               steady.total * n + first_iter_extra + mis_cycles + tcdm,
+               steady.load_use * n + first_iter_extra, mis_cycles, tcdm)
     cpu.perf.hwloop_backedges += n - 1
     cpu.timing.pending = plan.pending_after
     hw.count[level] = 0

@@ -35,6 +35,11 @@ TIMING_CLASSES = frozenset(
     }
 )
 
+#: Timing classes whose instructions touch data memory: loads, stores and
+#: the quantization FSM (it walks a threshold tree in memory).  The one
+#: definition behind :attr:`InstrSpec.touches_memory`.
+MEMORY_CLASSES = frozenset({"load", "store", "qnt_n", "qnt_c"})
+
 
 @dataclass(frozen=True)
 class InstrSpec:
@@ -82,6 +87,13 @@ class InstrSpec:
             raise ValueError(
                 f"{self.mnemonic}: unknown timing class {self.timing!r}"
             )
+
+    @property
+    def touches_memory(self) -> bool:
+        """True when executing the op may read or write data memory.
+        The cluster scheduler keeps exactly these instructions in global
+        event order; everything else is core-local."""
+        return self.timing in MEMORY_CLASSES
 
     def __reduce__(self):
         # The ``execute`` closure is unpicklable, but every spec is a
