@@ -130,7 +130,7 @@ def test_tracer_disabled_overhead_within_bound():
     traced_cpu.tracer = EventTracer(program=program)
     traced_cpu.run_program(program)
     traced_cpu.tracer = None
-    assert traced_cpu._mem_tracer is None
+    assert traced_cpu._retire_tracer is None
 
     bare_time, bare_perf = measure(bare_cpu)
     detached_time, detached_perf = measure(traced_cpu)

@@ -151,7 +151,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from .trace.profile import trace_kernel
 
         tracer = trace_kernel(args.kernel, cores=args.cores,
-                              detail=args.detail, target=args.target)
+                              target=args.target)
         title = args.kernel + (f" x{args.cores}" if args.cores > 1 else "")
         if args.target:
             title += f" on {args.target}"
@@ -160,8 +160,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             raise ReproError("pass a source file or --kernel NAME")
 
         def factory(program):
-            return EventTracer(program=program, detail=args.detail,
-                               default_region="code")
+            return EventTracer(program=program, default_region="code")
 
         _, cpu, _ = _load_and_run(args, factory)
         tracer = cpu.tracer
@@ -1000,9 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--target", metavar="NAME",
                        help="retarget --kernel to a registered target "
                             "(see repro targets)")
-    trace.add_argument("--detail", default="spans",
-                       choices=("spans", "full"),
-                       help="'full' adds per-retire and memory events")
     trace.add_argument("--out", default="trace.json",
                        help="output path (Chrome trace-event JSON)")
     trace.add_argument("--isa", default=XPULPNN, choices=_isa_choices())

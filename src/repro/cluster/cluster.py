@@ -169,10 +169,6 @@ class CoreMemPort:
                 cl.access_trace.record(
                     self._core_id, addr, size, "r",
                     cl.event_unit.barriers_completed, pc=self.cpu.pc)
-            if cl.mem_tracer is not None:
-                cl.mem_tracer.on_mem(
-                    self._core_id, now, addr, size, "r",
-                    cl.tcdm.bank_of(addr), stall)
             return cl.tcdm.mem.load(addr, size, signed)
         if CLUSTER_PERIPH_BASE <= addr < CLUSTER_PERIPH_BASE + CLUSTER_PERIPH_SIZE:
             return self._periph_load(addr, now)
@@ -189,10 +185,6 @@ class CoreMemPort:
                 cl.access_trace.record(
                     self._core_id, addr, size, "w",
                     cl.event_unit.barriers_completed, pc=self.cpu.pc)
-            if cl.mem_tracer is not None:
-                cl.mem_tracer.on_mem(
-                    self._core_id, now, addr, size, "w",
-                    cl.tcdm.bank_of(addr), stall)
             cl.tcdm.mem.store(addr, size, value)
             return
         if CLUSTER_PERIPH_BASE <= addr < CLUSTER_PERIPH_BASE + CLUSTER_PERIPH_SIZE:
@@ -297,10 +289,8 @@ class Cluster:
         #: :mod:`repro.analysis.race`); None keeps the hot path clean.
         self.access_trace = None
         #: Structured tracer attached via :meth:`attach_tracer` (None when
-        #: not tracing); ``mem_tracer`` is its memory-hook alias, non-None
-        #: only when the tracer wants per-access events.
+        #: not tracing).
         self.tracer = None
-        self.mem_tracer = None
         #: ``[key]``: event key ``cycle * num_cores + hart`` of the last
         #: timed access (streams advance it too); :class:`CoreMemPort`
         #: refuses an access keyed before it.
@@ -329,21 +319,14 @@ class Cluster:
     def attach_tracer(self, tracer):
         """Attach a :class:`~repro.trace.tracer.Tracer` to the whole cluster.
 
-        Every core delivers retire/hwloop events through its own hooks;
-        memory events come from the TCDM ports (which know the arbitrated
-        bank and the stall paid) rather than the cores, so the per-core
-        memory hook is disabled to avoid double reporting.  Barrier and
-        DMA events are emitted by the cluster itself.  Pass None to
+        Every core delivers retire events through its own hooks; barrier
+        and DMA events are emitted by the cluster itself.  Pass None to
         detach.
         """
         self.tracer = tracer
-        self.mem_tracer = (
-            tracer if tracer is not None and tracer.trace_memory else None
-        )
         self.dma.tracer = tracer
         for cpu in self.cores:
             cpu.tracer = tracer
-            cpu._mem_tracer = None  # TCDM ports report with bank info
         return tracer
 
     # ------------------------------------------------------------------
@@ -394,8 +377,7 @@ class Cluster:
 
             stats = EngineStats()
             engines = [BlockEngine(cpu, stats) for cpu in cores]
-            traced = (per_retire or self.access_trace is not None
-                      or self.mem_tracer is not None)
+            traced = per_retire or self.access_trace is not None
         # Addresses of each hart's event instructions.
         events = [
             None if every_step else frozenset(

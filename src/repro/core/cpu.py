@@ -55,7 +55,6 @@ class Cpu:
         self.timing = TimingModel(timing)
         self._tracer: Optional[Tracer] = None
         self._retire_tracer: Optional[Tracer] = None
-        self._mem_tracer: Optional[Tracer] = None
         #: Per-region counters (a :class:`~repro.trace.metrics.RegionCounters`)
         #: charged by every step and every engine block, keyed by the
         #: loaded program's ``.region`` names; None counts no regions.
@@ -89,9 +88,7 @@ class Cpu:
 
         Detached tracing costs one ``is not None`` check per retired
         instruction; per-instruction hooks fire only for a tracer whose
-        ``per_retire`` is set (it keeps the core on the interpreter), and
-        memory-access hooks are gated separately on ``trace_memory`` so
-        span-level tracing never touches the load/store fast path.
+        ``per_retire`` is set (it keeps the core on the interpreter).
         """
         return self._tracer
 
@@ -100,9 +97,6 @@ class Cpu:
         self._tracer = tracer
         self._retire_tracer = (
             tracer if tracer is not None and tracer.per_retire else None
-        )
-        self._mem_tracer = (
-            tracer if tracer is not None and tracer.trace_memory else None
         )
         self.region_counters = tracer.registry if tracer is not None else None
 
@@ -172,17 +166,11 @@ class Cpu:
     def load(self, addr: int, size: int, signed: bool = False) -> int:
         if size > 1 and addr % size:
             self._misaligned += 1
-        if self._mem_tracer is not None:
-            self._mem_tracer.on_mem(
-                self.hart_id, self.perf.cycles, addr, size, "r", None, 0)
         return self.mem.load(addr, size, signed)
 
     def store(self, addr: int, size: int, value: int) -> None:
         if size > 1 and addr % size:
             self._misaligned += 1
-        if self._mem_tracer is not None:
-            self._mem_tracer.on_mem(
-                self.hart_id, self.perf.cycles, addr, size, "w", None, 0)
         self.mem.store(addr, size, value)
 
     def add_stall_cycles(self, cycles: int) -> None:
@@ -283,8 +271,6 @@ class Cpu:
             if redirect is not None:
                 next_pc = redirect
                 self.perf.hwloop_backedges += 1
-                if self._retire_tracer is not None:
-                    self._retire_tracer.on_hwloop(self, self.pc, redirect)
             else:
                 next_pc = fall_through
 

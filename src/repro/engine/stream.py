@@ -119,7 +119,8 @@ def open_stream(cpu, plan: FusedPlan, level: int, tcdm, hart: int,
     if isinstance(loads, str):
         return loads
     if traced:
-        # Tracers and the race detector see every access with its pc.
+        # A per-retire tracer sees every instruction, the race detector
+        # every access with its pc.
         return "stream-traced"
     n = cpu.hwloops.count[level]
     regs = cpu.regs

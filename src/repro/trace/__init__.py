@@ -24,10 +24,7 @@ from .events import (
     STALL_CAUSES,
     BarrierSpan,
     DmaEvent,
-    HwloopEvent,
-    MemAccessEvent,
     RegionSpan,
-    RetireEvent,
     StallEvent,
 )
 from .metrics import MetricsTracer, RegionCounters
@@ -44,12 +41,9 @@ __all__ = [
     "BarrierSpan",
     "DmaEvent",
     "EventTracer",
-    "HwloopEvent",
-    "MemAccessEvent",
     "MetricsTracer",
     "RegionCounters",
     "RegionSpan",
-    "RetireEvent",
     "StallEvent",
     "TextTracer",
     "Tracer",

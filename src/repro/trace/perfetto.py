@@ -30,21 +30,29 @@ DMA_TID = 1000
 _PID = 1
 
 
-def _meta(name: str, tid: Optional[int] = None):
+def _meta(pid: int, name: str, tid: Optional[int] = None) -> Dict:
+    """A process-name record, or a thread-name one when *tid* is given."""
     if tid is None:
-        return {"name": "process_name", "ph": "M", "pid": _PID,
+        return {"name": "process_name", "ph": "M", "pid": pid,
                 "args": {"name": name}}
-    return {"name": "thread_name", "ph": "M", "pid": _PID, "tid": tid,
+    return {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
             "args": {"name": name}}
+
+
+def _write(payload: Dict, path: str) -> Dict:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
+    return payload
 
 
 def chrome_trace(tracer: EventTracer, title: str = "repro") -> Dict:
     """Build the Chrome trace-event payload for one traced run."""
-    events: List[Dict] = [_meta(title)]
+    events: List[Dict] = [_meta(_PID, title)]
     for core in tracer.cores:
-        events.append(_meta(f"core {core} regions", core * _LANES + 0))
-        events.append(_meta(f"core {core} stalls", core * _LANES + 1))
-        events.append(_meta(f"core {core} barrier", core * _LANES + 2))
+        for lane, lane_name in _LANE_NAMES.items():
+            events.append(_meta(_PID, f"core {core} {lane_name}",
+                                core * _LANES + lane))
 
     for span in tracer.region_spans:
         events.append({
@@ -68,7 +76,7 @@ def chrome_trace(tracer: EventTracer, title: str = "repro") -> Dict:
             "args": {"core": barrier.core},
         })
     if tracer.dma_events:
-        events.append(_meta("dma", DMA_TID))
+        events.append(_meta(_PID, "dma", DMA_TID))
         for dma in tracer.dma_events:
             events.append({
                 "name": f"dma {dma.bytes}B", "cat": "dma", "ph": "X",
@@ -84,11 +92,7 @@ def chrome_trace(tracer: EventTracer, title: str = "repro") -> Dict:
 def write_chrome_trace(tracer: EventTracer, path: str,
                        title: str = "repro") -> Dict:
     """Export *tracer* to *path* as Chrome trace-event JSON."""
-    payload = chrome_trace(tracer, title=title)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    return payload
+    return _write(chrome_trace(tracer, title=title), path)
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +104,6 @@ def write_chrome_trace(tracer: EventTracer, path: str,
 FLEET_SERVICE_PID = 1
 FLEET_WORKER_PID_BASE = 10
 FLEET_DEVICE_PID_BASE = 1000
-
-
-def _fleet_meta(pid: int, name: str, tid: Optional[int] = None):
-    if tid is None:
-        return {"name": "process_name", "ph": "M", "pid": pid,
-                "args": {"name": name}}
-    return {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-            "args": {"name": name}}
 
 
 def fleet_trace(recorder, title: str = "fleet") -> Dict:
@@ -138,10 +134,10 @@ def fleet_trace(recorder, title: str = "fleet") -> Dict:
         return max(int(round((b - a) * 1e6)), 1)
 
     events: List[Dict] = [
-        _fleet_meta(FLEET_SERVICE_PID, f"service: {title}"),
-        _fleet_meta(FLEET_SERVICE_PID, "batch", 0),
-        _fleet_meta(FLEET_SERVICE_PID, "jobs", 1),
-        _fleet_meta(FLEET_SERVICE_PID, "queue", 2),
+        _meta(FLEET_SERVICE_PID, f"service: {title}"),
+        _meta(FLEET_SERVICE_PID, "batch", 0),
+        _meta(FLEET_SERVICE_PID, "jobs", 1),
+        _meta(FLEET_SERVICE_PID, "queue", 2),
     ]
     if recorder.root is not None:
         root = recorder.root
@@ -154,9 +150,8 @@ def fleet_trace(recorder, title: str = "fleet") -> Dict:
             "args": {"trace_id": root.context.trace_id, **root.attrs},
         })
     for lane in recorder.lanes:
-        events.append(_fleet_meta(FLEET_WORKER_PID_BASE + lane,
-                                  f"worker {lane}"))
-        events.append(_fleet_meta(FLEET_WORKER_PID_BASE + lane, "jobs", 0))
+        events.append(_meta(FLEET_WORKER_PID_BASE + lane, f"worker {lane}"))
+        events.append(_meta(FLEET_WORKER_PID_BASE + lane, "jobs", 0))
 
     for job in jobs:
         if not job.start_s:
@@ -213,13 +208,13 @@ def _rebase_device_trace(job, us, dur_us) -> List[Dict]:
     window_us = dur_us(job.start_s, job.end_s)
     scale = window_us / total_cycles if total_cycles else 0.0
     start_us = us(job.start_s)
-    out: List[Dict] = [_fleet_meta(
+    out: List[Dict] = [_meta(
         pid, f"job {job.index} device: {job.kind} {job.digest[:10]}")]
     for event in source:
         ph = event.get("ph")
         if ph == "M":
             if event.get("name") == "thread_name":
-                out.append(_fleet_meta(
+                out.append(_meta(
                     pid, event.get("args", {}).get("name", "device"),
                     event.get("tid", 0)))
             continue
@@ -240,11 +235,7 @@ def _rebase_device_trace(job, us, dur_us) -> List[Dict]:
 
 def write_fleet_trace(recorder, path: str, title: str = "fleet") -> Dict:
     """Export a fleet recorder to *path* as Chrome trace-event JSON."""
-    payload = fleet_trace(recorder, title=title)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    return payload
+    return _write(fleet_trace(recorder, title=title), path)
 
 
 def validate_chrome_trace(payload) -> int:

@@ -111,7 +111,7 @@ def _matmul_workload(bits: int, out_ch: int, reduction: int):
     return w, x0, x1, thresholds
 
 
-def _run_conv(name, spec, tracer_factory, geometry=None):
+def _run_conv(spec, tracer_factory, geometry=None):
     from ..eval.workloads import benchmark_geometry
     from ..kernels import ConvConfig, ConvKernel
 
@@ -133,10 +133,10 @@ def _run_conv(name, spec, tracer_factory, geometry=None):
         run = kernel.run(weights, acts, shift=8, cpu=cpu)
     else:
         run = kernel.run(weights, acts, thresholds=thresholds, cpu=cpu)
-    return kernel, run, tracer
+    return run, tracer
 
 
-def _run_matmul(name, spec, tracer_factory):
+def _run_matmul(spec, tracer_factory):
     from ..kernels import MatmulConfig, MatmulKernel
 
     bits, isa, quant = spec
@@ -154,7 +154,7 @@ def _run_matmul(name, spec, tracer_factory):
         run = kernel.run(w, x0, x1, shift=8, cpu=cpu)
     else:
         run = kernel.run(w, x0, x1, thresholds=thresholds, cpu=cpu)
-    return kernel, run, tracer
+    return run, tracer
 
 
 def _retarget(kind, spec, target):
@@ -178,8 +178,7 @@ def _retarget(kind, spec, target):
     return (bits, tspec.isa, quant), tspec
 
 
-def _run_cluster_conv(name, spec, tracer_factory, cores: int,
-                      geometry=None):
+def _run_cluster_conv(spec, tracer_factory, cores: int, geometry=None):
     from ..cluster import Cluster
     from ..eval.workloads import benchmark_geometry
     from ..kernels import ParallelConvConfig, ParallelConvKernel
@@ -198,10 +197,10 @@ def _run_cluster_conv(name, spec, tracer_factory, cores: int,
     else:
         run = kernel.run(weights, acts, thresholds=thresholds,
                          cluster=cluster)
-    return kernel, run, tracer
+    return run, tracer
 
 
-def _run_cluster_matmul(name, spec, tracer_factory, cores: int):
+def _run_cluster_matmul(spec, tracer_factory, cores: int):
     from ..cluster import Cluster
     from ..kernels import ParallelMatmulConfig, ParallelMatmulKernel
 
@@ -218,7 +217,35 @@ def _run_cluster_matmul(name, spec, tracer_factory, cores: int):
         run = kernel.run(w, x0, x1, shift=8, cluster=cluster)
     else:
         run = kernel.run(w, x0, x1, thresholds=thresholds, cluster=cluster)
-    return kernel, run, tracer
+    return run, tracer
+
+
+def _run_kernel(name: str, cores: int, target, tracer_factory,
+                geometry=None):
+    """Run catalog entry *name* under ``tracer_factory(program)``.
+
+    *target* retargets the entry to a registered target (its ISA, core
+    count and quantization capability); *cores* > 1 shards the kernel on
+    a cluster.  Returns ``(run, tracer, cores)`` — the kernel's run record
+    (a cluster one when ``cores > 1``), the attached tracer and the core
+    count actually used.
+    """
+    kind, spec = _lookup(name)
+    if target is not None:
+        spec, tspec = _retarget(kind, spec, target)
+        if tspec.cluster:
+            cores = tspec.cores
+    if cores > 1:
+        if kind == "conv":
+            run, tracer = _run_cluster_conv(spec, tracer_factory, cores,
+                                            geometry=geometry)
+        else:
+            run, tracer = _run_cluster_matmul(spec, tracer_factory, cores)
+    elif kind == "conv":
+        run, tracer = _run_conv(spec, tracer_factory, geometry=geometry)
+    else:
+        run, tracer = _run_matmul(spec, tracer_factory)
+    return run, tracer, cores
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +302,11 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
     come from the spec.  Without it, the catalog's own ISA runs, and
     *cores* > 1 shards matmul kernels on a cluster.
     """
-    kind, spec = _lookup(name)
-    description = dict(kernel_catalog())[name]
-    if target is not None:
-        spec, tspec = _retarget(kind, spec, target)
-        if tspec.cluster:
-            cores = tspec.cores
-
-    def factory(program):
-        return MetricsTracer(program=program)
-
+    run, tracer, cores = _run_kernel(
+        name, cores, target,
+        lambda program: MetricsTracer(program=program), geometry=geometry)
     detail: Dict[str, int] = {}
     if cores > 1:
-        if kind == "conv":
-            _, run, tracer = _run_cluster_conv(
-                name, spec, factory, cores, geometry=geometry)
-        else:
-            _, run, tracer = _run_cluster_matmul(name, spec, factory, cores)
         cycles = run.cycles
         instructions = run.run.aggregate.instructions
         detail = {
@@ -299,16 +314,11 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
             "dma_in_cycles": run.dma_in_cycles,
             "dma_out_cycles": run.dma_out_cycles,
         }
-    elif kind == "conv":
-        _, run, tracer = _run_conv(name, spec, factory, geometry=geometry)
-        cycles = run.perf.cycles
-        instructions = run.perf.instructions
     else:
-        _, run, tracer = _run_matmul(name, spec, factory)
         cycles = run.perf.cycles
         instructions = run.perf.instructions
     return KernelProfile(
-        name=name, description=description, cycles=cycles,
+        name=name, description=dict(kernel_catalog())[name], cycles=cycles,
         instructions=instructions, registry=tracer.registry,
         cores=cores, detail=detail)
 
@@ -317,29 +327,12 @@ def profile_kernel(name: str, cores: int = 1, geometry=None,
 # Tracing (event timelines)
 # ---------------------------------------------------------------------------
 
-def trace_kernel(name: str, cores: int = 1, detail: str = "spans",
-                 target=None) -> EventTracer:
+def trace_kernel(name: str, cores: int = 1, target=None) -> EventTracer:
     """Run the named built-in kernel under an :class:`EventTracer`.
 
     ``cores > 1`` (or a cluster *target*) shards the kernel over a
     cluster of that many cores (the 8-core timeline of the evaluation).
     """
-    kind, spec = _lookup(name)
-    if target is not None:
-        spec, tspec = _retarget(kind, spec, target)
-        if tspec.cluster:
-            cores = tspec.cores
-
-    def factory(program):
-        return EventTracer(program=program, detail=detail)
-
-    if cores > 1:
-        if kind == "conv":
-            _, _, tracer = _run_cluster_conv(name, spec, factory, cores)
-        else:
-            _, _, tracer = _run_cluster_matmul(name, spec, factory, cores)
-    elif kind == "conv":
-        _, _, tracer = _run_conv(name, spec, factory)
-    else:
-        _, _, tracer = _run_matmul(name, spec, factory)
+    _, tracer, _ = _run_kernel(
+        name, cores, target, lambda program: EventTracer(program=program))
     return tracer

@@ -16,11 +16,6 @@ Hook contract (all cycle values are the core's local clock):
     were updated; ``timing`` is the :class:`~repro.core.timing.StepTiming`
     breakdown, and ``cpu._extra_stalls`` / ``cpu._tcdm_stalls`` still hold
     the step's unit/TCDM stalls.
-``on_mem(core, cycle, addr, size, kind, bank, stall)``
-    one data access; only delivered when :attr:`Tracer.trace_memory` is
-    true (the simulator skips the call entirely otherwise).
-``on_hwloop(cpu, pc, target)``
-    a zero-overhead hardware-loop back-edge was taken.
 ``on_barrier(core, arrive, release)``
     one core's parked window at an event-unit barrier.
 ``on_dma(src, dst, nbytes, start, end)``
@@ -33,28 +28,16 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from .events import (
-    BarrierSpan,
-    DmaEvent,
-    HwloopEvent,
-    MemAccessEvent,
-    RegionSpan,
-    RetireEvent,
-    StallEvent,
-)
+from .events import BarrierSpan, DmaEvent, RegionSpan, StallEvent
 
 
 class Tracer:
     """No-op base tracer; subclasses override the hooks they need."""
 
-    #: When false the simulator never calls :meth:`on_mem`, keeping the
-    #: load/store fast path free of per-access overhead.
-    trace_memory = False
-
-    #: When true the core calls :meth:`on_retire` and :meth:`on_hwloop`,
-    #: which keeps it on the interpreter (the block engine retires
-    #: instructions in batches).  When false only the batch-safe hooks
-    #: (barrier, DMA, halt) fire and the engine stays on.
+    #: When true the core calls :meth:`on_retire`, which keeps it on the
+    #: interpreter (the block engine retires instructions in batches).
+    #: When false only the batch-safe hooks (barrier, DMA, halt) fire and
+    #: the engine stays on.
     per_retire = True
 
     #: Per-region counters (:class:`~repro.trace.metrics.RegionCounters`)
@@ -63,13 +46,6 @@ class Tracer:
     registry = None
 
     def on_retire(self, cpu, pc: int, ins, timing) -> None:
-        pass
-
-    def on_mem(self, core: int, cycle: int, addr: int, size: int,
-               kind: str, bank: Optional[int], stall: int) -> None:
-        pass
-
-    def on_hwloop(self, cpu, pc: int, target: int) -> None:
         pass
 
     def on_barrier(self, core: int, arrive: int, release: int) -> None:
@@ -110,12 +86,9 @@ def _step_stalls(cpu, timing):
 class EventTracer(Tracer):
     """Collects typed events from a run.
 
-    ``detail="spans"`` (the default) folds retires into per-region
-    :class:`RegionSpan`s online — one span per contiguous stretch of
-    execution inside one marked region — and records every nonzero stall
-    as a :class:`StallEvent`.  ``detail="full"`` additionally keeps every
-    :class:`RetireEvent`, :class:`MemAccessEvent` and
-    :class:`HwloopEvent` (large: one object per instruction).
+    Retires are folded into per-region :class:`RegionSpan`s online — one
+    span per contiguous stretch of execution inside one marked region —
+    and every nonzero stall is recorded as a :class:`StallEvent`.
 
     The region for a PC comes from *region_map* (address -> name), usually
     :meth:`Program.region_map() <repro.asm.program.Program.region_map>`;
@@ -126,13 +99,8 @@ class EventTracer(Tracer):
         self,
         program=None,
         region_map: Optional[Dict[int, str]] = None,
-        detail: str = "spans",
         default_region: str = "other",
     ) -> None:
-        if detail not in ("spans", "full"):
-            raise ValueError(f"detail must be 'spans' or 'full', not {detail!r}")
-        self.detail = detail
-        self.trace_memory = detail == "full"
         self.default_region = default_region
         if region_map is not None:
             self._map = dict(region_map)
@@ -145,9 +113,6 @@ class EventTracer(Tracer):
         self.stalls: List[StallEvent] = []
         self.barriers: List[BarrierSpan] = []
         self.dma_events: List[DmaEvent] = []
-        self.retires: List[RetireEvent] = []
-        self.mem_events: List[MemAccessEvent] = []
-        self.hwloop_events: List[HwloopEvent] = []
         #: core -> final cycle count (set by :meth:`on_halt`).
         self.end_cycles: Dict[int, int] = {}
         # core -> [region name, span start cycle, instructions]
@@ -173,30 +138,10 @@ class EventTracer(Tracer):
                 RegionSpan(core, cur[0], cur[1], start, cur[2]))
             self._open[core] = [name, start, 1]
 
-        stall_cycles = total - timing.base
-        if stall_cycles:
+        if total != timing.base:
             for cause, cycles in _step_stalls(cpu, timing):
                 if cycles:
                     self.stalls.append(StallEvent(core, start, cycles, cause))
-
-        if self.detail == "full":
-            cause = None
-            if stall_cycles:
-                cause = max(_step_stalls(cpu, timing), key=lambda s: s[1])[0]
-            self.retires.append(RetireEvent(
-                core=core, cycle=start, pc=pc, mnemonic=ins.mnemonic,
-                timing_class=ins.spec.timing, cycles=total,
-                stall_cycles=stall_cycles, stall_cause=cause))
-
-    def on_mem(self, core: int, cycle: int, addr: int, size: int,
-               kind: str, bank: Optional[int], stall: int) -> None:
-        self.mem_events.append(
-            MemAccessEvent(core, cycle, addr, size, kind, bank, stall))
-
-    def on_hwloop(self, cpu, pc: int, target: int) -> None:
-        if self.detail == "full":
-            self.hwloop_events.append(
-                HwloopEvent(cpu.hart_id, cpu.perf.cycles, pc, target))
 
     def on_barrier(self, core: int, arrive: int, release: int) -> None:
         self.barriers.append(BarrierSpan(core, arrive, release))

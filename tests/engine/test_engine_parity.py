@@ -219,6 +219,30 @@ def test_profile_kernel_parity(kernel, monkeypatch):
         assert stats["fused_instructions"] > 0
 
 
+def test_cluster_profile_kernel_parity(monkeypatch):
+    """The 8-core profile is engine-invariant, and a region-counting
+    tracer leaves the cluster's hwloop streams on under the block engine."""
+    from repro.cluster import Cluster
+    from repro.trace.profile import profile_kernel
+
+    runs = []
+    real_run = Cluster.run
+
+    def recording_run(self, *args, **kwargs):
+        result = real_run(self, *args, **kwargs)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(Cluster, "run", recording_run)
+    results = {}
+    for mode in ("interp", "block"):
+        set_default_mode(mode)
+        results[mode] = profile_kernel("matmul_4bit", cores=8).to_dict()
+    set_default_mode(None)
+    assert results["interp"] == results["block"]
+    assert runs[-1].detail["stream_dispatches"] > 0
+
+
 def test_region_attribution_parity():
     """Region counters survive fused execution: the fused loop body and
     the code around it land in their regions exactly as interpreted."""

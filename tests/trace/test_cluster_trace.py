@@ -1,4 +1,4 @@
-"""Tracing multi-core cluster runs: barriers, DMA, banked memory events."""
+"""Tracing multi-core cluster runs: barriers, DMA and region spans."""
 
 from repro.asm import assemble
 from repro.cluster import Cluster
@@ -58,13 +58,6 @@ class TestClusterEventTrace:
             assert all(s.end <= barrier.arrive or s.start >= barrier.release
                        for s in spans)
 
-    def test_mem_events_carry_bank_info(self):
-        tracer = EventTracer(detail="full")
-        cluster, _ = _traced_run(tracer, cores=4)
-        stores = [e for e in tracer.mem_events if e.kind == "w"]
-        assert len(stores) >= 4
-        assert all(e.bank == cluster.tcdm.bank_of(e.addr) for e in stores)
-
     def test_dma_transfers_traced(self):
         tracer = EventTracer()
         cluster, _ = _traced_run(tracer, cores=2)
@@ -86,7 +79,7 @@ class TestClusterEventTrace:
         program = assemble(BARRIER_PROG, isa="xpulpnn", base=TCDM_BASE)
         bare = Cluster(num_cores=4, isa="xpulpnn").run_program(program)
         traced_cluster = Cluster(num_cores=4, isa="xpulpnn")
-        traced_cluster.attach_tracer(EventTracer(detail="full"))
+        traced_cluster.attach_tracer(EventTracer())
         traced = traced_cluster.run_program(program)
         assert traced.cycles == bare.cycles
         assert traced.aggregate.instructions == bare.aggregate.instructions

@@ -1,8 +1,6 @@
 """Tracer protocol: hooks, span folding, attach and detach."""
 
-import pytest
-
-from repro.asm import KernelBuilder, assemble
+from repro.asm import assemble
 from repro.core import Cpu
 from repro.trace import (
     EventTracer,
@@ -41,7 +39,7 @@ class TestAttach:
         cpu.tracer = EventTracer()
         cpu.tracer = None
         assert cpu.tracer is None
-        assert cpu._mem_tracer is None
+        assert cpu._retire_tracer is None
 
 
 class TestTextTracer:
@@ -97,56 +95,15 @@ class TestEventTracerSpans:
         assert by_cause.get("branch", 0) == perf.stall_branch
         assert sum(by_cause.values()) == perf.total_stalls
 
-    def test_rejects_unknown_detail(self):
-        with pytest.raises(ValueError):
-            EventTracer(detail="everything")
-
-
-class TestFullDetail:
-    def test_retires_recorded_with_dominant_cause(self):
-        tracer = EventTracer(detail="full")
-        _, perf, _ = _run(COUNTED_LOOP, tracer)
-        assert len(tracer.retires) == perf.instructions
-        taken = [r for r in tracer.retires
-                 if r.mnemonic == "bne" and r.stall_cycles]
-        assert taken and all(r.stall_cause == "branch" for r in taken)
-
-    def test_memory_events_only_in_full_mode(self):
-        src = "li a1, 0x100\nlw a0, 0(a1)\nsw a0, 4(a1)\nebreak"
-        spans = EventTracer()
-        _run(src, spans)
-        assert spans.mem_events == []
-
-        full = EventTracer(detail="full")
-        _run(src, full)
-        kinds = [(e.kind, e.addr) for e in full.mem_events]
-        assert ("r", 0x100) in kinds and ("w", 0x104) in kinds
-
-    def test_hwloop_backedges_recorded(self):
-        b = KernelBuilder(isa="xpulpnn")
-        b.li("t0", 3)
-        with b.hardware_loop(0, "t0"):
-            b.emit("addi", "a0", "a0", 1)
-        b.ebreak()
-        program = b.build()
-        tracer = EventTracer(detail="full")
-        cpu = Cpu(isa="xpulpnn")
-        cpu.tracer = tracer
-        cpu.load_program(program)
-        perf = cpu.run()
-        assert len(tracer.hwloop_events) == perf.hwloop_backedges == 2
-
 
 class TestZeroCost:
     def test_cycles_identical_with_and_without_tracer(self):
         _, bare, _ = _run(COUNTED_LOOP)
         _, spans, _ = _run(COUNTED_LOOP, EventTracer())
-        _, full, _ = _run(COUNTED_LOOP, EventTracer(detail="full"))
-        assert bare.cycles == spans.cycles == full.cycles
-        assert bare.instructions == spans.instructions == full.instructions
+        assert bare.cycles == spans.cycles
+        assert bare.instructions == spans.instructions
 
     def test_base_tracer_hooks_are_noops(self):
         tracer = Tracer()
-        assert tracer.trace_memory is False
         _, perf, _ = _run(COUNTED_LOOP, tracer)
         assert perf.instructions > 0
