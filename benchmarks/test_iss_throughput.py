@@ -188,25 +188,23 @@ def test_benchmark_memory_throughput_block_engine(benchmark):
     assert perf.by_class["load"] >= 1000
 
 
-def _conv4bit_setup():
-    """The speedup-floor workload: the 4-bit conv at a heavier geometry
-    (64 input/output channels) so fused dispatches dominate wall-clock."""
+def _conv_setup(geometry, bits, isa, quant, seed):
+    """A speedup-floor workload: ``run(mode)`` times one conv layer on a
+    fresh core under engine *mode*."""
     from repro.kernels import ConvConfig, ConvKernel
     from repro.qnn import (
-        ConvGeometry,
         conv2d_golden,
         random_activations,
         random_weights,
         thresholds_from_accumulators,
     )
 
-    g = ConvGeometry(in_h=8, in_w=8, in_ch=64, out_ch=64,
-                     kh=3, kw=3, stride=1, pad=1)
-    rng = np.random.default_rng(0x51F5)
-    w = random_weights((g.out_ch, g.kh, g.kw, g.in_ch), 4, rng)
-    x = random_activations((g.in_h, g.in_w, g.in_ch), 4, rng)
+    g = geometry
+    rng = np.random.default_rng(seed)
+    w = random_weights((g.out_ch, g.kh, g.kw, g.in_ch), bits, rng)
+    x = random_activations((g.in_h, g.in_w, g.in_ch), bits, rng)
     acc = conv2d_golden(x, w, stride=g.stride, pad=g.pad)
-    table = thresholds_from_accumulators(acc, 4)
+    table = thresholds_from_accumulators(acc, bits)
 
     def run(mode):
         import time
@@ -215,9 +213,9 @@ def _conv4bit_setup():
         from repro.soc.memory import Memory
 
         kernel = ConvKernel(ConvConfig(
-            geometry=g, bits=4, isa="xpulpnn", quant="hw"))
+            geometry=g, bits=bits, isa=isa, quant=quant))
         size = max(kernel.layout.end + 4096, L2_SIZE)
-        cpu = Cpu(isa="xpulpnn", mem=Memory(size), engine=mode)
+        cpu = Cpu(isa=isa, mem=Memory(size), engine=mode)
         start = time.perf_counter()
         result = kernel.run(w, x, thresholds=table, cpu=cpu)
         wall = time.perf_counter() - start
@@ -226,16 +224,16 @@ def _conv4bit_setup():
     return run
 
 
-def test_block_engine_conv4bit_speedup_floor(results_dir):
-    import json
-
+def _speedup(name, run, results_dir, bar):
+    """Interp, then cold block (pays one-time translation), then warm
+    block: check parity, record the ``bench/<name>/*`` series and return
+    the warm speedup in simulated instructions/sec."""
     from repro.engine.blocks import GLOBAL_CACHE
     from repro.eval.trajectory import write_trajectory
 
     GLOBAL_CACHE.clear()
-    run = _conv4bit_setup()
     interp_result, interp_wall, _ = run("interp")
-    run("block")                       # cold: pays one-time translation
+    run("block")
     block_result, block_wall, cpu = run("block")
 
     assert block_result.perf.snapshot() == interp_result.perf.snapshot()
@@ -248,19 +246,50 @@ def test_block_engine_conv4bit_speedup_floor(results_dir):
     stats = cpu.engine_stats
 
     write_trajectory(
-        {"bench": {"conv_4bit": {
+        {"bench": {name: {
             "interp_sim_ips": round(interp_ips),
             "block_sim_ips": round(block_ips),
             "engine_speedup": round(speedup, 2),
         }}},
         str(results_dir / "iss_throughput.json"))
+    line = (f"{name} ({instructions:,} instructions): "
+            f"interp {interp_ips / 1e6:.2f} M ips, "
+            f"block {block_ips / 1e6:.2f} M ips -> {speedup:.1f}x "
+            f"({stats['fused_instructions'] / instructions:.0%} fused, "
+            f"bar: >= {bar:g}x)")
+    return speedup, stats, line
+
+
+def test_block_engine_conv4bit_speedup_floor(results_dir):
+    """The 4-bit conv at a heavier geometry (64 input/output channels)
+    so fused dispatches dominate wall-clock."""
+    import json
+
+    from repro.qnn import ConvGeometry
+
+    g = ConvGeometry(in_h=8, in_w=8, in_ch=64, out_ch=64,
+                     kh=3, kw=3, stride=1, pad=1)
+    run = _conv_setup(g, 4, "xpulpnn", "hw", 0x51F5)
+    speedup, stats, line = _speedup("conv_4bit", run, results_dir, 10)
     (results_dir / "engine_stats.json").write_text(
         json.dumps(stats, indent=2, sort_keys=True) + "\n")
-    record(results_dir, "iss_engine_speedup",
-           f"conv_4bit ({instructions:,} instructions): "
-           f"interp {interp_ips / 1e6:.2f} M ips, "
-           f"block {block_ips / 1e6:.2f} M ips -> {speedup:.1f}x "
-           f"({stats['fused_instructions'] / instructions:.0%} fused, "
-           f"bar: >= 10x)")
+    record(results_dir, "iss_engine_speedup", line)
     assert speedup >= 10.0, (
         f"block engine sustained only {speedup:.1f}x on conv_4bit")
+
+
+@pytest.mark.parametrize("bits", [4, 2])
+def test_block_engine_ri5cy_speedup_floor(results_dir, bits):
+    """The RI5CY baselines widen every sub-byte operand in software
+    (extract/insert weights, shift/shuffle2 activations); both unpack
+    loop families fuse, so the engine must sustain >= 5x on them too.
+    Benchmark geometry: the interpreter leg dominates the test's time."""
+    from repro.eval import benchmark_geometry
+
+    name = f"conv_{bits}bit_ri5cy"
+    run = _conv_setup(benchmark_geometry(), bits, "ri5cy", "sw", 0x51F5)
+    speedup, stats, line = _speedup(name, run, results_dir, 5)
+    print("\n" + line)
+    assert stats["side_exits"] == {}, stats["side_exits"]
+    assert speedup >= 5.0, (
+        f"block engine sustained only {speedup:.1f}x on {name}")

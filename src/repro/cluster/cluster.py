@@ -162,7 +162,7 @@ class CoreMemPort:
         cl = self._cluster
         now = self._now()
         if cl.tcdm.contains(addr, size):
-            stall, _ = cl.tcdm.access(addr, now)
+            stall = cl.tcdm.access(addr, now)
             if stall:
                 self.cpu.add_tcdm_stall(stall)
             if cl.access_trace is not None:
@@ -178,7 +178,7 @@ class CoreMemPort:
         cl = self._cluster
         now = self._now()
         if cl.tcdm.contains(addr, size):
-            stall, _ = cl.tcdm.access(addr, now)
+            stall = cl.tcdm.access(addr, now)
             if stall:
                 self.cpu.add_tcdm_stall(stall)
             if cl.access_trace is not None:

@@ -18,7 +18,7 @@ with each core's local cycle clock.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..errors import SimError
 from ..soc.memmap import TCDM_BASE, TCDM_SIZE
@@ -53,10 +53,6 @@ class Tcdm:
     def contains(self, addr: int, length: int = 1) -> bool:
         return self.mem.contains(addr, length)
 
-    def bank_of(self, addr: int) -> int:
-        """Bank index of the word containing *addr*."""
-        return ((addr - self.mem.base) >> 2) % self.num_banks
-
     def reset_timing(self) -> None:
         self._busy_until = [0] * self.num_banks
         self.accesses = 0
@@ -64,27 +60,26 @@ class Tcdm:
         self.conflict_cycles = 0
         self.conflicts_by_bank = [0] * self.num_banks
 
-    def access(self, addr: int, when: int) -> Tuple[int, int]:
+    def access(self, addr: int, when: int) -> int:
         """Arbitrate one access to the bank holding *addr* at time *when*.
 
-        Returns ``(stall_cycles, grant_time)``: if the bank is already
-        granted to an earlier request, the access waits until the bank
-        frees.  The caller charges *stall_cycles* to the requesting core.
+        Returns the stall cycles: if the bank is already granted to an
+        earlier request, the access waits until the bank frees (it is
+        granted at ``when + stall``).  The caller charges the stall to
+        the requesting core.
         Accesses must be presented in non-decreasing *when* order per bank
         (the cluster's event-ordered scheduler guarantees this globally).
         """
-        # bank_of, inlined: every TCDM access of a cluster run lands here.
         bank = ((addr - self.mem.base) >> 2) % self.num_banks
         self.accesses += 1
         busy = self._busy_until[bank]
         stall = busy - when if busy > when else 0
-        grant = when + stall
-        self._busy_until[bank] = grant + 1
+        self._busy_until[bank] = when + stall + 1
         if stall:
             self.conflicts += 1
             self.conflict_cycles += stall
             self.conflicts_by_bank[bank] += 1
-        return stall, grant
+        return stall
 
     @property
     def conflict_rate(self) -> float:

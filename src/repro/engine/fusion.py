@@ -19,21 +19,26 @@ Classification (per register, from the per-op ``fusion`` access roles):
   dot-product/MAC ops (``rd += f(i)``); per-iteration contributions are
   summed once at commit (``entry + sum mod 2**32``).
 * **local** — written (plainly) before any read each iteration; its
-  committed value is the last iteration's.
+  committed value is the last iteration's.  Inserts (``p.insert``,
+  ``pv.insert``) merge into the register they write, so they count as
+  that write only once the inserts together cover all 32 bits before any
+  other read: the entry value is then dead.
 
 Anything else — a cross-iteration recurrence the engine cannot express
 in closed form — raises :class:`Unfusable` and the loop falls back to
 block-at-a-time execution, as do dynamic conditions checked per
 dispatch: out-of-bounds addresses (the interpreter must raise at the
-exact faulting iteration), overlapping load/store ranges, and stores
-with non-affine address patterns.  Handlers never mutate CPU or memory
-state before every check has passed; commits (register file, memory
-scatters, closed-form cycle accounting) happen only on success, so a
-side exit is always invisible.
+exact faulting iteration), overlapping load/store ranges (two affine
+streams of one stride whose hulls overlap are disjoint when each lies in
+the gaps of the other), and stores with non-affine address patterns.
+Handlers never mutate CPU or memory state before every check has
+passed; commits (register file, memory scatters, closed-form cycle
+accounting) happen only on success, so a side exit is always invisible.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,10 +46,14 @@ import numpy as np
 from .vector import (
     ALU_OPS,
     MASK32,
+    bitfield_extract,
+    bitfield_insert,
     dot,
     gather,
+    lane_shifter,
     replicate,
     scalar_load,
+    shuffler2,
     to_signed32,
 )
 
@@ -76,8 +85,24 @@ def _iota(n: int) -> np.ndarray:
 # Access roles
 # ---------------------------------------------------------------------------
 
-#: ("r", reg) read | ("racc", reg) accumulator-read | ("w", reg, kind)
-#: with kind "plain" | ("incr", delta) | "accadd".
+def _field(ins) -> Tuple[int, int]:
+    """``(pos, length)`` of the bit field an extract or insert names: a
+    lane for ``pv.insert``, the immediate's ``pos | (length - 1) << 5``
+    for the XpulpV2 bitfield forms (tag width ``None``)."""
+    width = ins.spec.fusion[-1]
+    if width is None:
+        return ins.imm & 0x1F, ((ins.imm >> 5) & 0x1F) + 1
+    return (ins.imm % (32 // width)) * width, width
+
+
+def _insert_mask(ins) -> int:
+    pos, length = _field(ins)
+    return (((1 << length) - 1) << pos) & MASK32
+
+
+#: ("r", reg) read | ("racc", reg) accumulator-read | ("rins", reg, mask)
+#: an insert's read of the bits outside *mask* | ("w", reg, kind) with
+#: kind "plain" | ("incr", delta) | "accadd" | "insert".
 def _accesses(ins) -> List[Tuple]:
     tag = ins.spec.fusion
     kind = tag[0]
@@ -99,6 +124,16 @@ def _accesses(ins) -> List[Tuple]:
         return [("r", ins.rs1), ("r", ins.rs2), ("w", ins.rd, "plain")]
     if kind == "lui":
         return [("w", ins.rd, "plain")]
+    if kind in ("extract", "lane_shift"):
+        return [("r", ins.rs1), ("w", ins.rd, "plain")]
+    if kind == "insert":
+        return [("r", ins.rs1), ("rins", ins.rd, _insert_mask(ins)),
+                ("w", ins.rd, "insert")]
+    if kind == "shuffle2":
+        # The old rd supplies the upper half of the lane pool: an
+        # ordinary read.
+        return [("r", ins.rs1), ("r", ins.rs2), ("r", ins.rd),
+                ("w", ins.rd, "plain")]
     if kind == "mac":
         return [("r", ins.rs1), ("r", ins.rs2), ("racc", ins.rd),
                 ("w", ins.rd, "accadd")]
@@ -118,6 +153,8 @@ def _accesses(ins) -> List[Tuple]:
 def _classify(instrs) -> Tuple[Dict[int, str], Dict[int, int]]:
     """Register classes and induction deltas for one loop body."""
     written: set = set()
+    #: Bits inserted into a register not yet otherwise written.
+    covered: Dict[int, int] = {}
     pre_read: Dict[int, str] = {}
     write_kinds: Dict[int, List] = {}
     for ins in instrs:
@@ -135,9 +172,20 @@ def _classify(instrs) -> Tuple[Dict[int, str], Dict[int, int]]:
                 reg = access[1]
                 if reg in written:
                     continue
+                if access[0] == "rins" and reg not in pre_read:
+                    covered[reg] = covered.get(reg, 0) | access[2]
+                    if covered[reg] == MASK32:
+                        written.add(reg)
+                    continue
+                if reg in covered:
+                    # Read while only partly inserted: the rest is the
+                    # previous iteration's value.
+                    raise Unfusable("reg-pattern")
                 role = "acc" if access[0] == "racc" else "plain"
                 if pre_read.setdefault(reg, role) != role:
                     raise Unfusable("reg-pattern")
+    if not covered.keys() <= written:
+        raise Unfusable("reg-pattern")
     classes: Dict[int, str] = {}
     deltas: Dict[int, int] = {}
     for reg, kinds in write_kinds.items():
@@ -200,8 +248,9 @@ class _Ctx:
         self.contribs: Dict[int, object] = {}
         self.mis = [0] * body_len
         self.stores: List[Tuple] = []
-        self.load_ranges: List[Tuple[int, int]] = []
-        self.store_ranges: List[Tuple[int, int]] = []
+        #: ``_check_range`` records of the loads and stores so far.
+        self.load_ranges: List[Tuple] = []
+        self.store_ranges: List[Tuple] = []
 
     def get(self, reg: int):
         value = self.env[reg]
@@ -219,27 +268,51 @@ class _Ctx:
 
 
 def _check_range(ctx: _Ctx, lo: int, hi: int, size: int,
-                 against: List[Tuple[int, int]]) -> None:
+                 against: List[Tuple], addr0: int = 0,
+                 delta: int = 0) -> Tuple:
+    """Check one access's byte range ``[lo, hi + size)`` against memory
+    and the ranges in *against*; returns its own range record.
+
+    Accesses ``addr0 + delta*i`` and ``b0 + delta*j`` of one stride never
+    touch, even where their hulls overlap, when the phase
+    ``(addr0 - b0) mod |delta|`` leaves room for both sizes."""
     if not ctx.mem.contains(lo, hi - lo + size):
         raise Unfusable("mem-bounds")
     end = hi + size
-    for other_lo, other_end in against:
-        if lo < other_end and other_lo < end:
+    for other_lo, other_end, other_addr0, other_delta, other_size in against:
+        if lo < other_end and other_lo < end and not (
+                delta and delta == other_delta
+                and other_size <= (addr0 - other_addr0) % abs(delta)
+                <= abs(delta) - size):
             raise Unfusable("mem-alias")
+    return lo, end, addr0, delta, size
 
 
 # ---------------------------------------------------------------------------
 # Batch handlers
 # ---------------------------------------------------------------------------
 
-def _contig_load(ctx: _Ctx, off: int, size: int, signed: bool, n: int):
+def _sized_view(ctx: _Ctx, size: int) -> np.ndarray:
+    return ctx.data32 if size == 4 else ctx.data16 if size == 2 else ctx.data
+
+
+def _strided(addr: int, off: int, size: int, delta: int,
+             n: int) -> Optional[slice]:
+    """The slice of the *size*-byte view that ``off + delta*i`` (at
+    address ``addr + delta*i``) walks, or None when the accesses are not
+    aligned, forward-strided elements."""
+    if delta <= 0 or delta % size or addr % size or off % size:
+        return None
+    start = off // size
+    step = delta // size
+    return slice(start, start + step * (n - 1) + 1, step)
+
+
+def _strided_load(ctx: _Ctx, where: slice, size: int, signed: bool):
+    value = _sized_view(ctx, size)[where].astype(np.int64)
     if size == 4:
         # Sign-extending a full word into the u32 domain is the identity.
-        return ctx.data32[off >> 2:(off >> 2) + n].astype(np.int64)
-    if size == 2:
-        value = ctx.data16[off >> 1:(off >> 1) + n].astype(np.int64)
-    else:
-        value = ctx.data[off:off + n].astype(np.int64)
+        return value
     if signed:
         sign_bit = 1 << (size * 8 - 1)
         value = ((value ^ sign_bit) - sign_bit) & MASK32
@@ -262,15 +335,16 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
             addr0 = base + imm_off
             last = addr0 + delta * (n - 1)
             lo, hi = (addr0, last) if delta >= 0 else (last, addr0)
-            _check_range(ctx, lo, hi, size, ctx.store_ranges)
-            ctx.load_ranges.append((lo, hi + size))
+            ctx.load_ranges.append(_check_range(
+                ctx, lo, hi, size, ctx.store_ranges, addr0, delta))
             off0 = addr0 - ctx.mem.base
+            where = _strided(addr0, off0, size, delta, n)
             if delta == 0:
                 ctx.env[rd] = scalar_load(ctx.data, off0, size, signed)
                 if size > 1 and addr0 % size:
                     ctx.mis[index] = n
-            elif delta == size and addr0 % size == 0 and off0 % size == 0:
-                ctx.env[rd] = _contig_load(ctx, off0, size, signed, n)
+            elif where is not None:
+                ctx.env[rd] = _strided_load(ctx, where, size, signed)
             else:
                 offsets = off0 + delta * _iota(n)
                 ctx.env[rd] = gather(ctx.data, offsets, size, signed)
@@ -294,15 +368,15 @@ def _make_load(index: int, rd: int, rs1: int, imm: int, size: int,
             addr = base if post else (base + imm) & MASK32
             if isinstance(addr, np.ndarray):
                 lo, hi = int(addr.min()), int(addr.max())
-                _check_range(ctx, lo, hi, size, ctx.store_ranges)
-                ctx.load_ranges.append((lo, hi + size))
+                ctx.load_ranges.append(
+                    _check_range(ctx, lo, hi, size, ctx.store_ranges))
                 ctx.env[rd] = gather(ctx.data, addr - ctx.mem.base,
                                      size, signed)
                 if size > 1:
                     ctx.mis[index] = int(np.count_nonzero(addr % size))
             else:
-                _check_range(ctx, addr, addr, size, ctx.store_ranges)
-                ctx.load_ranges.append((addr, addr + size))
+                ctx.load_ranges.append(
+                    _check_range(ctx, addr, addr, size, ctx.store_ranges))
                 ctx.env[rd] = scalar_load(ctx.data, addr - ctx.mem.base,
                                           size, signed)
                 if size > 1 and addr % size:
@@ -324,19 +398,20 @@ def _make_store(index: int, rs1: int, rs2: int, imm: int, size: int,
             addr0 = base + imm_off
             last = addr0 + delta * (n - 1)
             lo, hi = (addr0, last) if delta >= 0 else (last, addr0)
-            _check_range(ctx, lo, hi, size,
-                         ctx.store_ranges + ctx.load_ranges)
-            ctx.store_ranges.append((lo, hi + size))
+            ctx.store_ranges.append(_check_range(
+                ctx, lo, hi, size, ctx.store_ranges + ctx.load_ranges,
+                addr0, delta))
             values = ctx.get(rs2)
             off0 = addr0 - ctx.mem.base
+            where = _strided(addr0, off0, size, delta, n)
             if delta == 0:
                 last_value = int(values[-1]) \
                     if isinstance(values, np.ndarray) else values
                 ctx.stores.append(("scalar", off0, size, last_value))
                 if size > 1 and addr0 % size:
                     ctx.mis[index] = n
-            elif delta == size and addr0 % size == 0 and off0 % size == 0:
-                ctx.stores.append(("contig", off0, size, values))
+            elif where is not None:
+                ctx.stores.append(("strided", where, size, values))
             elif delta >= size or delta <= -size:
                 offsets = off0 + delta * _iota(n)
                 ctx.stores.append(("gather", offsets, size, values))
@@ -360,9 +435,8 @@ def _make_store(index: int, rs1: int, rs2: int, imm: int, size: int,
             values = ctx.get(rs2)
             if isinstance(addr, np.ndarray):
                 lo, hi = int(addr.min()), int(addr.max())
-                _check_range(ctx, lo, hi, size,
-                             ctx.store_ranges + ctx.load_ranges)
-                ctx.store_ranges.append((lo, hi + size))
+                ctx.store_ranges.append(_check_range(
+                    ctx, lo, hi, size, ctx.store_ranges + ctx.load_ranges))
                 strides = np.diff(addr)
                 if len(strides) and not ((strides >= size).all()
                                          or (strides <= -size).all()):
@@ -372,9 +446,9 @@ def _make_store(index: int, rs1: int, rs2: int, imm: int, size: int,
                 if size > 1:
                     ctx.mis[index] = int(np.count_nonzero(addr % size))
             else:
-                _check_range(ctx, addr, addr, size,
-                             ctx.store_ranges + ctx.load_ranges)
-                ctx.store_ranges.append((addr, addr + size))
+                ctx.store_ranges.append(_check_range(
+                    ctx, addr, addr, size,
+                    ctx.store_ranges + ctx.load_ranges))
                 last_value = int(values[-1]) \
                     if isinstance(values, np.ndarray) else values
                 ctx.stores.append(
@@ -459,6 +533,32 @@ def _make_alu(rd: int, rs1: int, rs2: Optional[int], imm: Optional[int],
     return step
 
 
+def _make_unary(rd: int, rs1: int, fn: Callable) -> Callable:
+    def step(ctx: _Ctx) -> None:
+        ctx.env[rd] = fn(ctx.get(rs1))
+
+    return step
+
+
+def _make_insert(rd: int, rs1: int, pos: int, mask: int) -> Callable:
+    def step(ctx: _Ctx) -> None:
+        # A first insert into a register the inserts cover finds no
+        # value: the bits it keeps are dead (see _classify).
+        ctx.env[rd] = bitfield_insert(ctx.env.get(rd, 0), ctx.get(rs1),
+                                      pos, mask)
+
+    return step
+
+
+def _make_shuffle2(rd: int, rs1: int, rs2: int, width: int) -> Callable:
+    shuffle2 = shuffler2(width)
+
+    def step(ctx: _Ctx) -> None:
+        ctx.env[rd] = shuffle2(ctx.get(rd), ctx.get(rs1), ctx.get(rs2))
+
+    return step
+
+
 def _make_bump(rd: int, imm: int) -> Callable:
     def step(ctx: _Ctx) -> None:
         ctx.bump(rd, imm)
@@ -512,6 +612,22 @@ def _compile_handlers(instrs, classes) -> List[Callable]:
                                       tag[1]))
         elif kind == "lui":
             handlers.append(_make_lui(ins.rd, ins.imm))
+        elif kind == "extract":
+            pos, length = _field(ins)
+            signed = tag[1]
+            handlers.append(_make_unary(ins.rd, ins.rs1, partial(
+                bitfield_extract, pos=pos, length=length, signed=signed)))
+        elif kind == "lane_shift":
+            _, op, width = tag
+            handlers.append(_make_unary(
+                ins.rd, ins.rs1,
+                lane_shifter(op, ins.imm & (width - 1), width)))
+        elif kind == "insert":
+            handlers.append(_make_insert(ins.rd, ins.rs1, _field(ins)[0],
+                                         _insert_mask(ins)))
+        elif kind == "shuffle2":
+            handlers.append(_make_shuffle2(ins.rd, ins.rs1, ins.rs2,
+                                           tag[1]))
         else:
             raise Unfusable("unsupported-op")
     return handlers
@@ -612,20 +728,14 @@ def execute_plan(cpu, plan: FusedPlan, level: int,
 
     # -- every check passed: commit ------------------------------------
     data = ctx.data
-    data16 = ctx.data16
-    data32 = ctx.data32
     for shape, where, size, values in ctx.stores:
-        if shape == "contig":
-            if not isinstance(values, np.ndarray):
-                values = np.full(n, values, dtype=np.int64)
-            if size == 4:
-                data32[where >> 2:(where >> 2) + n] = \
-                    values.astype(np.uint32)
-            elif size == 2:
-                data16[where >> 1:(where >> 1) + n] = \
-                    (values & 0xFFFF).astype(np.uint16)
+        if shape == "strided":
+            view = _sized_view(ctx, size)
+            if isinstance(values, np.ndarray):
+                values = (values & ((1 << (8 * size)) - 1)).astype(view.dtype)
             else:
-                data[where:where + n] = (values & 0xFF).astype(np.uint8)
+                values &= (1 << (8 * size)) - 1
+            view[where] = values
         elif shape == "gather":
             for k in range(size):
                 data[where + k] = np.asarray(

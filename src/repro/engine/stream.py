@@ -80,7 +80,7 @@ class Stream:
                 # the earliest pending event.
                 horizon = yield nxt
             key = nxt
-            stall += access(addr, t)[0]
+            stall += access(addr, t)
             append(view[word])
         view.release()
         if key >= 0:

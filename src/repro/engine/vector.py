@@ -10,7 +10,7 @@ iteration, trip counts < 2**20) before the final 32-bit wraparound.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +80,91 @@ def scalar_load(data: np.ndarray, offset: int, size: int,
         sign_bit = 1 << (size * 8 - 1)
         value = ((value ^ sign_bit) - sign_bit) & MASK32
     return value
+
+
+def bitfield_extract(value: Value, pos: int, length: int,
+                     signed: bool) -> Value:
+    """The *length*-bit field at bit *pos* (``p.extract[u]``), zero- or
+    sign-extended to 32 bits."""
+    field = (value >> pos) & ((1 << length) - 1)
+    if signed:
+        sign_bit = 1 << (length - 1)
+        field = ((field ^ sign_bit) - sign_bit) & MASK32
+    return field
+
+
+def bitfield_insert(old: Value, value: Value, pos: int, mask: int) -> Value:
+    """*old* with the bits of *mask* replaced by *value* shifted to
+    *pos* (``p.insert``, ``pv.insert``)."""
+    return (old & (~mask & MASK32)) | ((value << pos) & mask)
+
+
+def lane_shifter(op: str, amount: int, width: int) -> Callable:
+    """``pv.{srl,sra,sll}.sci``: shift every *width*-bit lane by the
+    constant *amount* (``0 <= amount < width``) with word-wide shifts
+    and per-lane masks."""
+    lane = (1 << width) - 1
+    if op == "sll":
+        keep = replicate((lane << amount) & lane, width)
+        return lambda value: (value << amount) & keep
+    keep = replicate(lane >> amount, width)
+    if op == "srl" or amount == 0:
+        return lambda value: (value >> amount) & keep
+    # Each lane's sign bit, moved to the lane's bit 0, times the fill
+    # pattern: the product stays inside its lane.
+    ones = replicate(1, width)
+    fill = ((1 << amount) - 1) << (width - amount)
+    return lambda value: ((value >> amount) & keep) \
+        | ((value >> (width - 1)) & ones) * fill
+
+
+def _shuffle2_moves(sel: int, width: int) -> List[Tuple[bool, int, int]]:
+    """``(from_old, source_mask, shift)`` moves that realize selector
+    *sel*: lanes taken from the same word by the same lane distance move
+    together."""
+    count = 32 // width
+    lane = (1 << width) - 1
+    moves: Dict[Tuple[bool, int], int] = {}
+    for k in range(count):
+        index = ((sel >> (k * width)) & lane) % (2 * count)
+        j = index % count
+        key = (index >= count, (k - j) * width)
+        moves[key] = moves.get(key, 0) | (lane << (j * width))
+    return [(old, mask, shift) for (old, shift), mask in moves.items()]
+
+
+def shuffler2(width: int) -> Callable:
+    """``pv.shuffle2``: selector lane ``k`` (of *sel*) picks lane
+    ``s mod 2*count`` of the concatenation of *src* (lanes
+    ``0..count-1``) and *old* (lanes ``count..2*count-1``)."""
+    count = 32 // width
+    lane = (1 << width) - 1
+    shifts = np.arange(count, dtype=np.int64) * width
+    plans: Dict[int, List[Tuple[bool, int, int]]] = {}
+
+    def lanes_of(value, n):
+        return (np.broadcast_to(value, (n,))[:, None] >> shifts) & lane
+
+    def shuffle2(old: Value, src: Value, sel: Value) -> Value:
+        if isinstance(sel, np.ndarray):
+            n = len(sel)
+            both = np.concatenate([lanes_of(src, n), lanes_of(old, n)],
+                                  axis=1)
+            index = ((sel[:, None] >> shifts) & lane) % (2 * count)
+            picked = np.take_along_axis(both, index, axis=1)
+            return (picked << shifts).sum(axis=1)
+        moves = plans.get(sel)
+        if moves is None:
+            if len(plans) > 64:
+                plans.clear()
+            moves = plans[sel] = _shuffle2_moves(sel, width)
+        out: Value = 0
+        for from_old, mask, shift in moves:
+            part = (old if from_old else src) & mask
+            out = out | (part << shift if shift >= 0 else part >> -shift)
+        return out
+
+    return shuffle2
 
 
 #: u32-domain binary ALU semantics shared by the register-register and

@@ -328,6 +328,9 @@ def make_simd_specs(
                         execute=_make_lane_exec(op, width, variant),
                         timing="alu",
                         isa=isa,
+                        fusion=("lane_shift", op, width)
+                        if variant == "sci" and op in ("srl", "sra", "sll")
+                        else None,
                     )
                 )
         # abs has no second operand and thus no variants.
@@ -382,6 +385,7 @@ def make_simd_specs(
                     timing="alu",
                     rd_is_src=True,
                     isa=isa,
+                    fusion=("shuffle2", width),
                 )
             )
         if include_extract:
@@ -417,6 +421,7 @@ def make_simd_specs(
                     timing="alu",
                     rd_is_src=True,
                     isa=isa,
+                    fusion=("insert", width),
                 )
             )
     return specs

@@ -166,7 +166,8 @@ def _conv_states(bits, isa, quant):
     for mode in ("interp", "block"):
         cpu = Cpu(isa=isa, engine=mode)
         out = _run_tiny_conv(cpu, bits, isa, quant)
-        states.append((out.output.tolist(), out.detail, state_of(cpu)))
+        states.append((out.output.tolist(), out.detail, state_of(cpu),
+                       cpu.engine_stats))
     return states
 
 
@@ -187,6 +188,40 @@ def test_conv_kernel_parity(bits, isa, quant):
     assert interp[1] == block[1], "quant cycles diverged"
     for key in interp[2]:
         assert interp[2][key] == block[2][key], f"diverged on {key}"
+    if isa == "ri5cy" and bits < 8:
+        # Both unpack loop families fuse: as many fused dispatches as
+        # the XpulpNN kernel's loops, and none of the exits they took
+        # before their unpack ops had batch forms.
+        stats = block[3]
+        assert not {"unsupported-op", "mem-alias"} & set(stats["side_exits"])
+        native = Cpu(isa="xpulpnn", engine="block")
+        _run_tiny_conv(native, bits, "xpulpnn", "sw")
+        assert stats["fused_dispatches"] == \
+            native.engine_stats["fused_dispatches"] > 0
+
+
+@pytest.mark.parametrize("bits", [4, 2])
+@pytest.mark.parametrize("style", ["extract", "shuffle"])
+def test_matmul_unpack_style_parity(style, bits):
+    """The unpack-style ablation's baseline MatMul kernels
+    (EXPERIMENTS.md) fuse and retire identically under both engines."""
+    import numpy as np
+
+    from repro.kernels import MatmulConfig, MatmulKernel
+
+    rng = np.random.default_rng(3)
+    w = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), (8, 96))
+    x0, x1 = rng.integers(0, 1 << bits, (2, 96))
+    states = []
+    for mode in ("interp", "block"):
+        kernel = MatmulKernel(MatmulConfig(
+            reduction=96, out_ch=8, bits=bits, isa="ri5cy", quant="none",
+            unpack_style=style))
+        cpu = Cpu(isa="ri5cy", engine=mode)
+        run = kernel.run(w, x0, x1, cpu=cpu)
+        states.append((run.output.tolist(), state_of(cpu)))
+    assert states[0] == states[1]
+    assert cpu.engine_stats["fused_dispatches"] > 0
 
 
 @pytest.mark.parametrize("kernel", ["conv_4bit", "matmul_4bit"])
@@ -271,3 +306,78 @@ def test_region_attribution_parity():
     assert dict(states[1]["regions"])["body"]["instructions"] == 24
     assert cpu.engine_stats["fused_instructions"] == 24
     assert states[0] == states[1]
+
+
+def _fused_stats(source, **regs):
+    """Run *source* under both engines (asserting parity); the block
+    engine's dispatch statistics."""
+    _, block = run_both(source, isa="xpulpnn", regs=regs or None)
+    return block.engine_stats
+
+
+class TestUnpackFusion:
+    """The legality rules for the RI5CY unpack ops, one edge each."""
+
+    CHAIN = """
+        lp.setupi 0, 6, end0
+        p.lw a0, 4(s0!)
+        {chain}
+    end0:
+        pv.sdotsp.b a2, a1, a1
+        ebreak
+    """
+
+    def _chain(self, lanes):
+        return "\n".join(
+            f"p.extract a3, a0, {4 * lane}, 4\npv.insert.b a1, a3, {lane}"
+            for lane in lanes)
+
+    def test_covering_insert_chain_fuses(self):
+        stats = _fused_stats(self.CHAIN.format(chain=self._chain(
+            [2, 0, 3, 1])), s0=0x8000)
+        assert stats["fused_dispatches"] == 1 and not stats["side_exits"]
+
+    def test_partial_insert_chain_declines(self):
+        stats = _fused_stats(self.CHAIN.format(chain=self._chain(
+            [0, 1, 3])), s0=0x8000)
+        assert stats["side_exits"] == {"reg-pattern": 1}
+
+    def test_read_before_coverage_declines(self):
+        chain = self._chain([0, 1]) + "\nadd a4, a1, a4\n" \
+            + self._chain([2, 3])
+        stats = _fused_stats(self.CHAIN.format(chain=chain), s0=0x8000)
+        assert stats["side_exits"] == {"reg-pattern": 1}
+
+    @pytest.mark.parametrize("written_first", [True, False])
+    def test_shuffle2_old_rd(self, written_first):
+        body = "addi a1, a4, 0\n" if written_first else ""
+        stats = _fused_stats(f"""
+            lp.setupi 0, 5, end0
+            pv.srl.sci.b a4, a0, 4
+            {body}pv.shuffle2.b a1, a4, a5
+        end0:
+            addi a0, a0, 1
+            ebreak
+        """, a0=0x12345678, a5=0x05010400)
+        if written_first:
+            assert stats["fused_dispatches"] == 1
+        else:
+            assert stats["side_exits"] == {"reg-pattern": 1}
+
+    @pytest.mark.parametrize("first,reason", [
+        (4, None), (2, "mem-alias"), (6, "mem-alias")])
+    def test_same_stride_stores(self, first, reason):
+        """Two word stores on one pointer, stride 8: interleaved at
+        phase 4 they never touch; at phase 2 or 6 they overlap."""
+        stats = _fused_stats(f"""
+            lp.setupi 0, 6, end0
+            p.sw a0, {first}(s0!)
+            p.sw a1, {8 - first}(s0!)
+        end0:
+            addi a0, a0, 1
+            ebreak
+        """, s0=0x8000, a0=0x11111111, a1=0x22222222)
+        if reason is None:
+            assert stats["fused_dispatches"] == 1
+        else:
+            assert stats["side_exits"] == {reason: 1}

@@ -9,6 +9,13 @@ includes instructions the fuser declines (``mul``, misaligned and
 register-offset accesses) so side exits and partial-block flushes get
 the same coverage as the happy path.  Every program also gets random
 ``.region`` boundaries, and the per-region counters must match too.
+
+The unpack ops of the RI5CY sub-byte kernels (bitfield extract, lane
+insert, ``pv.shuffle2``, constant lane shifts) are in the mix, and
+``test_unpack_loop_parity`` builds loop bodies from their idioms: insert
+chains that cover a whole word (fusable) or only part of it (declined),
+shuffles whose ``rd`` is or is not written first, and two post-increment
+accesses on one pointer at interleaved or colliding phases.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -79,8 +86,36 @@ def _fmt_dotp(draw):
     return f"{mn} {draw(data_reg)}, {draw(data_reg)}, {draw(data_reg)}"
 
 
+def _fmt_extract(draw):
+    mn = draw(st.sampled_from(("p.extract", "p.extractu")))
+    return (f"{mn} {draw(data_reg)}, {draw(data_reg)}, "
+            f"{draw(st.integers(0, 31))}, {draw(st.integers(1, 32))}")
+
+
+def _fmt_insert(draw):
+    mn = draw(st.sampled_from(("pv.insert.b", "pv.insert.h")))
+    if draw(st.booleans()):
+        return (f"p.insert {draw(data_reg)}, {draw(data_reg)}, "
+                f"{draw(st.integers(0, 31))}, {draw(st.integers(1, 32))}")
+    return (f"{mn} {draw(data_reg)}, {draw(data_reg)}, "
+            f"{draw(st.integers(-16, 15))}")
+
+
+def _fmt_shuffle2(draw):
+    mn = draw(st.sampled_from(("pv.shuffle2.b", "pv.shuffle2.h")))
+    return f"{mn} {draw(data_reg)}, {draw(data_reg)}, {draw(data_reg)}"
+
+
+def _fmt_lane_shift(draw):
+    op = draw(st.sampled_from(("srl", "sra", "sll")))
+    width = draw(st.sampled_from(("b", "h")))
+    return (f"pv.{op}.sci.{width} {draw(data_reg)}, {draw(data_reg)}, "
+            f"{draw(st.integers(-16, 15))}")
+
+
 _OP_MAKERS = (_fmt_alu, _fmt_addi, _fmt_ptr_bump, _fmt_lui, _fmt_load,
-              _fmt_load_post, _fmt_store, _fmt_store_post, _fmt_dotp)
+              _fmt_load_post, _fmt_store, _fmt_store_post, _fmt_dotp,
+              _fmt_extract, _fmt_insert, _fmt_shuffle2, _fmt_lane_shift)
 
 
 @st.composite
@@ -149,7 +184,7 @@ def test_single_loop_parity(ops, count, level, regs, mem, marks):
     lines = [f"lp.setupi {level}, {count}, end{level}"]
     lines += ops[:-1]
     lines += [f"end{level}:", ops[-1], "ebreak"]
-    run_both(_assemble_lines(lines, marks), regs=regs, mem=mem)
+    run_both(_assemble_lines(lines), regs=regs, mem=mem)
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,3 +231,77 @@ def test_budget_parity(ops, count, budget, regs, mem, marks):
     lines += ["end0:", ops[-1], "ebreak"]
     run_both(_assemble_lines(lines, marks), regs=regs, mem=mem,
              max_instructions=budget)
+
+
+# ---------------------------------------------------------------------------
+# Unpack idioms of the RI5CY sub-byte kernels
+# ---------------------------------------------------------------------------
+
+@st.composite
+def insert_chain(draw):
+    """``p.extract[u]`` + ``pv.insert.b`` pairs into one destination: all
+    four lanes (the word is covered before it is read) or a subset (its
+    other lanes carry over between iterations: the fuser must decline)."""
+    src, scratch, dest = draw(st.permutations(DATA_REGS))[:3]
+    lanes = draw(st.permutations(range(4)))[:draw(st.integers(1, 4))]
+    bits = draw(st.sampled_from((2, 4, 8)))
+    mn = draw(st.sampled_from(("p.extract", "p.extractu")))
+    lines = []
+    for lane in lanes:
+        pos = draw(st.integers(0, 32 - bits))
+        lines += [f"{mn} {scratch}, {src}, {pos}, {bits}",
+                  f"pv.insert.b {dest}, {scratch}, {lane}"]
+    return lines
+
+
+@st.composite
+def shuffle_step(draw):
+    """A ``pv.shuffle2`` whose old ``rd`` is written first in the body
+    (as the kernels' ``mv`` does) or is not (a carried value)."""
+    rd, src, sel, other = draw(st.permutations(DATA_REGS))[:4]
+    width = draw(st.sampled_from(("b", "h")))
+    lines = [f"pv.shuffle2.{width} {rd}, {src}, {sel}"]
+    if draw(st.booleans()):
+        lines.insert(0, f"addi {rd}, {other}, 0")
+    return lines
+
+
+@st.composite
+def paired_accesses(draw):
+    """Two post-increment accesses on one pointer: one stride, two
+    phases, disjoint when each increment covers its access."""
+    ptr = draw(ptr_reg)
+    lines = []
+    for _ in range(2):
+        size = draw(st.sampled_from(("w", "h", "b")))
+        kind = draw(st.sampled_from(("p.s", "p.s", "p.l")))
+        lines.append(f"{kind}{size} {draw(data_reg)}, "
+                     f"{draw(st.integers(0, 8))}({ptr}!)")
+    return lines
+
+
+@st.composite
+def lane_shift_step(draw):
+    return [_fmt_lane_shift(draw)]
+
+
+_IDIOMS = (insert_chain(), shuffle_step(), paired_accesses(),
+           lane_shift_step(), st.builds(lambda op: [op], st.sampled_from(
+               ("and a4, a0, a5", "pv.dotup.b t0, a2, a3",
+                "p.sw a1, 4(s1!)"))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(st.one_of(*_IDIOMS), min_size=1, max_size=4),
+       count=st.integers(2, 9), level=st.integers(0, 1),
+       regs=initial_regs(), mem=initial_mem())
+def test_unpack_loop_parity(parts, count, level, regs, mem):
+    """Loop bodies built from unpack idioms, then accumulating readers of
+    every data register, retire identically on both engines."""
+    ops = [line for part in parts for line in part]
+    ops += ["pv.sdotsp.b t1, a0, a1", "pv.sdotsp.b t2, a2, a3",
+            "pv.sdotsp.b t3, a4, a5"]
+    lines = [f"lp.setupi {level}, {count}, end{level}"]
+    lines += ops[:-1]
+    lines += [f"end{level}:", ops[-1], "ebreak"]
+    run_both(_assemble_lines(lines), regs=regs, mem=mem)
