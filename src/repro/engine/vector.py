@@ -140,7 +140,6 @@ def shuffler2(width: int) -> Callable:
     count = 32 // width
     lane = (1 << width) - 1
     shifts = np.arange(count, dtype=np.int64) * width
-    plans: Dict[int, List[Tuple[bool, int, int]]] = {}
 
     def lanes_of(value, n):
         return (np.broadcast_to(value, (n,))[:, None] >> shifts) & lane
@@ -153,13 +152,11 @@ def shuffler2(width: int) -> Callable:
             index = ((sel[:, None] >> shifts) & lane) % (2 * count)
             picked = np.take_along_axis(both, index, axis=1)
             return (picked << shifts).sum(axis=1)
-        moves = plans.get(sel)
-        if moves is None:
-            if len(plans) > 64:
-                plans.clear()
-            moves = plans[sel] = _shuffle2_moves(sel, width)
+        # A loop-invariant selector (the kernels' case) moves whole
+        # groups of lanes with word-wide masks and shifts: measured
+        # cheaper than the gather on conv-suite.
         out: Value = 0
-        for from_old, mask, shift in moves:
+        for from_old, mask, shift in _shuffle2_moves(sel, width):
             part = (old if from_old else src) & mask
             out = out | (part << shift if shift >= 0 else part >> -shift)
         return out

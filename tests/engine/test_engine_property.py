@@ -184,7 +184,7 @@ def test_single_loop_parity(ops, count, level, regs, mem, marks):
     lines = [f"lp.setupi {level}, {count}, end{level}"]
     lines += ops[:-1]
     lines += [f"end{level}:", ops[-1], "ebreak"]
-    run_both(_assemble_lines(lines), regs=regs, mem=mem)
+    run_both(_assemble_lines(lines, marks), regs=regs, mem=mem)
 
 
 @settings(max_examples=40, deadline=None)
